@@ -1,5 +1,5 @@
 # Single entry point for the repo's checks. `make check` is the whole CI:
-# vet + build + tier-1 tests + the race-enabled suite + the repair-case
+# gofmt + vet + build + tier-1 tests + the race-enabled suite + the repair-case
 # coverage gate + the degraded-mode/quarantine gate + nested-fault crash
 # rounds + a one-iteration smoke of the parallel benchmarks + the serving
 # layer smoke (full protocol over TCP, crash-recover round, group-commit
@@ -7,9 +7,15 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild
+.PHONY: check fmt vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild
 
-check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke
+check: fmt vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke
+
+# Every Go source must be gofmt-clean. Hidden directories (.bench_build,
+# scratch dirs) hold build caches, not sources, and are skipped.
+fmt:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -72,9 +78,11 @@ bench-parallel:
 # round, and concurrent clients actually coalescing in the group-commit
 # coordinator — all under the race detector, plus the coordinator's own
 # crash-semantics tests (batch invisibility on a crash between the shared
-# sync and the status write).
+# sync and the status write). A GET racing a committing writer is run ten
+# times over: it must never answer NOTFOUND for a key that always exists.
 server-smoke:
 	$(GO) test -race ./internal/server
+	$(GO) test -race -count=10 -run TestGetRacingWriterNeverNotFound ./internal/server
 	$(GO) test -race ./internal/txn -run 'TestGroupCommit|TestBatch|TestSpill|TestCommit|TestStatusAppend|TestVisibility'
 
 # The commit-throughput sweep behind BENCH_server.json (see EXPERIMENTS.md).

@@ -320,7 +320,7 @@ func benchDurableMixed() batchResult {
 
 func benchScanEviction() evictionResult {
 	const (
-		poolFrames = 256 // 16 stripes of 16: the segmented policy engages
+		poolFrames = 256  // 16 stripes of 16: the segmented policy engages
 		hotPages   = 32   // 2 per stripe: comfortably inside the protected cap
 		scanPages  = 2560 // 10x the pool in one-shot reads
 	)

@@ -65,10 +65,42 @@ const tupleHeaderSize = 16
 // ErrNoSuchTuple is returned for TIDs that name no tuple.
 var ErrNoSuchTuple = errors.New("heap: no such tuple")
 
+// Fetch reports the two ways a tuple can be invisible with these
+// sentinels. Both satisfy errors.Is(err, ErrNoSuchTuple), and both are
+// fixed values: a reader stepping over dead versions formats nothing.
+var (
+	// ErrUncommitted: the tuple's creator has not committed (it is still
+	// running, aborted, or died in a crash).
+	ErrUncommitted error = invisibleError("heap: tuple created by an uncommitted transaction")
+	// ErrDeleted: a committed transaction stamped the tuple's xmax.
+	ErrDeleted error = invisibleError("heap: tuple deleted by a committed transaction")
+)
+
+// ErrConflict is returned by Delete (and Update) when another transaction
+// that is still running has already stamped the tuple's xmax. The caller
+// may retry once that transaction has finished.
+var ErrConflict = errors.New("heap: tuple is being updated by a running transaction")
+
+// invisibleError is a constant error that also matches ErrNoSuchTuple.
+type invisibleError string
+
+func (e invisibleError) Error() string        { return string(e) }
+func (e invisibleError) Is(target error) bool { return target == ErrNoSuchTuple }
+
 // StatusChecker reports whether a transaction is known committed. The
 // transaction manager implements it; tests may substitute fakes.
 type StatusChecker interface {
 	Committed(x XID) bool
+}
+
+// TxnStatus adds the running set to StatusChecker. Writers need it to
+// tell an xmax held by a live transaction from one left by a dead one.
+type TxnStatus interface {
+	StatusChecker
+	// Active reports whether x has begun and not yet committed or
+	// aborted. A transaction must stop being active only after it is
+	// known committed, so "not active, not committed" means dead.
+	Active(x XID) bool
 }
 
 // Relation is one no-overwrite heap file. Page 0 is a meta page holding
@@ -169,10 +201,10 @@ func (r *Relation) Fetch(tid TID, status StatusChecker) ([]byte, error) {
 	}
 	xmin, xmax := getXID(item[0:]), getXID(item[8:])
 	if !status.Committed(xmin) {
-		return nil, fmt.Errorf("%w: %v created by uncommitted txn %d", ErrNoSuchTuple, tid, xmin)
+		return nil, ErrUncommitted
 	}
 	if xmax != 0 && status.Committed(xmax) {
-		return nil, fmt.Errorf("%w: %v deleted by txn %d", ErrNoSuchTuple, tid, xmax)
+		return nil, ErrDeleted
 	}
 	out := make([]byte, len(item)-tupleHeaderSize)
 	copy(out, item[tupleHeaderSize:])
@@ -201,8 +233,11 @@ func (r *Relation) FetchAsOf(tid TID, status StatusChecker, asOf XID) ([]byte, e
 }
 
 // Delete stamps the tuple's xmax with xid (no-overwrite: the version stays
-// until the vacuum archives it).
-func (r *Relation) Delete(tid TID, xid XID) error {
+// until the vacuum archives it). An xmax already stamped by a transaction
+// that is dead (aborted, or lost in a crash) is overwritten; one stamped by
+// a running transaction fails with ErrConflict; one stamped by a committed
+// transaction fails with ErrDeleted. Re-stamping by xid itself is a no-op.
+func (r *Relation) Delete(tid TID, xid XID, status TxnStatus) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, err := r.pool.Get(tid.PageNo)
@@ -216,18 +251,24 @@ func (r *Relation) Delete(tid TID, xid XID) error {
 	if err != nil {
 		return err
 	}
-	if getXID(item[8:]) != 0 {
-		return fmt.Errorf("heap: tuple %v already deleted", tid)
+	// Active before Committed: a transaction is marked committed before it
+	// leaves the running set, so the two reads cannot both miss it.
+	switch holder := getXID(item[8:]); {
+	case holder == 0 || holder == xid:
+	case status.Active(holder):
+		return fmt.Errorf("%w: %v held by txn %d", ErrConflict, tid, holder)
+	case status.Committed(holder):
+		return ErrDeleted
 	}
 	putXID(item[8:], xid)
 	f.MarkDirty()
 	return nil
 }
 
-// Update writes a new version created by xid, stamps the old one's xmax,
-// and returns the new TID.
-func (r *Relation) Update(tid TID, xid XID, data []byte) (TID, error) {
-	if err := r.Delete(tid, xid); err != nil {
+// Update writes a new version created by xid, stamps the old one's xmax
+// (as Delete does), and returns the new TID.
+func (r *Relation) Update(tid TID, xid XID, data []byte, status TxnStatus) (TID, error) {
+	if err := r.Delete(tid, xid, status); err != nil {
 		return TID{}, err
 	}
 	return r.Insert(xid, data)
@@ -259,11 +300,10 @@ func (r *Relation) MarkDead(tid TID) error {
 
 // Header returns the tuple's xmin and xmax regardless of visibility.
 func (r *Relation) Header(tid TID) (xmin, xmax XID, err error) {
-	item, err := r.rawTuple(tid)
-	if err != nil {
-		return 0, 0, err
-	}
-	return getXID(item[0:]), getXID(item[8:]), nil
+	err = r.readItem(tid, func(item []byte) {
+		xmin, xmax = getXID(item[0:]), getXID(item[8:])
+	})
+	return xmin, xmax, err
 }
 
 // ScanAll visits every tuple version in the relation (visible or not),
@@ -317,21 +357,27 @@ func (r *Relation) NumPages() storage.PageNo {
 	return n
 }
 
-func (r *Relation) rawTuple(tid TID) ([]byte, error) {
+// rawTuple returns a copy of the tuple's bytes, header included.
+func (r *Relation) rawTuple(tid TID) (out []byte, err error) {
+	err = r.readItem(tid, func(item []byte) { out = append([]byte(nil), item...) })
+	return out, err
+}
+
+// readItem runs fn on the tuple's bytes under the frame's read latch.
+func (r *Relation) readItem(tid TID, fn func(item []byte)) error {
 	f, err := r.pool.Get(tid.PageNo)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v (%v)", ErrNoSuchTuple, tid, err)
+		return fmt.Errorf("%w: %v (%v)", ErrNoSuchTuple, tid, err)
 	}
 	defer f.Unpin()
 	f.RLatch()
 	defer f.RUnlatch()
 	item, err := r.itemAt(f, tid)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, len(item))
-	copy(out, item)
-	return out, nil
+	fn(item)
+	return nil
 }
 
 func (r *Relation) itemAt(f *buffer.Frame, tid TID) ([]byte, error) {

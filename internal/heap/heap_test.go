@@ -14,6 +14,9 @@ type fakeStatus map[XID]bool
 
 func (f fakeStatus) Committed(x XID) bool { return f[x] }
 
+// Active: no fake transaction is running, so every uncommitted XID is dead.
+func (f fakeStatus) Active(XID) bool { return false }
+
 func newRel(t *testing.T) (*Relation, *storage.MemDisk) {
 	t.Helper()
 	d := storage.NewMemDisk()
@@ -77,7 +80,7 @@ func TestDeleteVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete(tid, 6); err != nil {
+	if err := r.Delete(tid, 6, status); err != nil {
 		t.Fatal(err)
 	}
 	// Deleter not committed: still visible.
@@ -90,7 +93,7 @@ func TestDeleteVisibility(t *testing.T) {
 		t.Fatalf("deleted tuple visible: %v", err)
 	}
 	// Double delete fails.
-	if err := r.Delete(tid, 7); err == nil {
+	if err := r.Delete(tid, 7, status); err == nil {
 		t.Fatal("double delete must fail")
 	}
 }
@@ -102,7 +105,7 @@ func TestUpdateCreatesNewVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tid2, err := r.Update(tid1, 6, []byte("v2"))
+	tid2, err := r.Update(tid1, 6, []byte("v2"), status)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestTimeTravelFetchAsOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tid2, err := r.Update(tid1, 8, []byte("v2"))
+	tid2, err := r.Update(tid1, 8, []byte("v2"), status)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestHeaderAndScanAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete(tid, 7); err != nil {
+	if err := r.Delete(tid, 7, fakeStatus{}); err != nil {
 		t.Fatal(err)
 	}
 	xmin, xmax, err := r.Header(tid)
@@ -260,4 +263,90 @@ func ExampleTID_Bytes() {
 	parsed, _ := ParseTID(tid.Bytes())
 	fmt.Println(parsed)
 	// Output: (7,3)
+}
+
+// TestFetchInvisibleSentinels: the two ways a tuple can be invisible have
+// their own sentinels, both still ErrNoSuchTuple, and building them
+// allocates nothing beyond the tuple copy every Fetch makes.
+func TestFetchInvisibleSentinels(t *testing.T) {
+	r, _ := newRel(t)
+	status := fakeStatus{5: true, 6: true}
+	tidUncommitted, err := r.Insert(9, []byte("ghost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tidDeleted, err := r.Insert(5, []byte("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(tidDeleted, 6, status); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		tid  TID
+		want error
+	}{{tidUncommitted, ErrUncommitted}, {tidDeleted, ErrDeleted}}
+	for _, c := range cases {
+		_, err := r.Fetch(c.tid, status)
+		if err != c.want || !errors.Is(err, ErrNoSuchTuple) {
+			t.Fatalf("Fetch(%v) = %v, want %v matching ErrNoSuchTuple", c.tid, err, c.want)
+		}
+		allocs := testing.AllocsPerRun(100, func() { _, _ = r.Fetch(c.tid, status) })
+		if allocs > 1 {
+			t.Fatalf("Fetch(%v) of an invisible tuple: %.0f allocs, want <= 1", c.tid, allocs)
+		}
+	}
+	if ErrUncommitted == ErrDeleted {
+		t.Fatal("the two invisible cases share a sentinel")
+	}
+}
+
+// runningStatus is a fakeStatus with a set of running transactions.
+type runningStatus struct {
+	fakeStatus
+	running map[XID]bool
+}
+
+func (s runningStatus) Active(x XID) bool { return s.running[x] }
+
+// TestDeleteXmaxOwnership: a stamp left by a dead transaction is taken
+// over, one held by a running transaction is a conflict, one by a
+// committed transaction means the tuple is gone, and the holder itself may
+// stamp again.
+func TestDeleteXmaxOwnership(t *testing.T) {
+	r, _ := newRel(t)
+	status := runningStatus{fakeStatus{5: true}, map[XID]bool{8: true}}
+	tid, err := r.Insert(5, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// XID 6 stamps and dies (neither committed nor running).
+	if err := r.Delete(tid, 6, status); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(tid, 7, status); err != nil {
+		t.Fatalf("stamp of dead txn 6 must be taken over: %v", err)
+	}
+	if _, xmax, _ := r.Header(tid); xmax != 7 {
+		t.Fatalf("xmax = %d, want 7", xmax)
+	}
+	// Running XID 8 takes over 7's dead stamp; 9 then conflicts.
+	if err := r.Delete(tid, 8, status); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(tid, 8, status); err != nil {
+		t.Fatalf("re-stamp by the holder itself: %v", err)
+	}
+	if _, err := r.Update(tid, 9, []byte("y"), status); !errors.Is(err, ErrConflict) {
+		t.Fatalf("update over a running holder: %v, want ErrConflict", err)
+	}
+	if _, xmax, _ := r.Header(tid); xmax != 8 {
+		t.Fatalf("conflict changed xmax to %d", xmax)
+	}
+	// 8 commits: the tuple is deleted for good.
+	delete(status.running, 8)
+	status.fakeStatus[8] = true
+	if err := r.Delete(tid, 9, status); err != ErrDeleted {
+		t.Fatalf("delete of a committed-deleted tuple: %v, want ErrDeleted", err)
+	}
 }

@@ -24,9 +24,18 @@
 //	QUIT               -> OK bye, then the server closes the connection
 //
 // Errors are "ERR <code> <message>"; code "retry" marks a commit that was
-// aborted by a device failure and is safe to re-run as a new transaction.
-// Reads see committed data only (the §2 status-table visibility rule), so
-// a session's own writes become readable at COMMIT.
+// aborted by a device failure and is safe to re-run as a new transaction,
+// and code "conflict" a write to a key whose current version another open
+// transaction has already updated or deleted. Reads see committed data only
+// (the §2 status-table visibility rule), so a session's own writes become
+// readable at COMMIT.
+//
+// Storage: one no-overwrite heap relation holds every value version, and
+// one B-link index maps each version to its tuple. A key's index entries
+// form one exact range ordered newest first (see the KV block of
+// session.go), so GET and PUT read a single run and stop at its first
+// visible version. New writes a layout marker into a fresh index and
+// refuses an index written in the older key‖TID layout.
 package server
 
 import (
@@ -107,6 +116,9 @@ func New(db *core.DB, opts Options) (*Server, error) {
 			return nil, err
 		}
 		idx = six
+	}
+	if err := ensureLayout(db, idx); err != nil {
+		return nil, err
 	}
 	return &Server{
 		db:           db,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -489,58 +491,65 @@ func TestServerRejectsOverlongLineIncrementally(t *testing.T) {
 	}
 }
 
-// TestScanPrefixInterleavedKeys pins SCAN against the index's raw entry
-// order. Index entries are <user key><6-byte TID>, so entries of a SHORT
-// key sort after entries of longer keys sharing its prefix whenever the
-// short key's first TID byte (the heap page number's low byte) exceeds the
-// longer key's next byte. A limit cutoff keyed on "distinct keys seen" can
-// therefore stop before ever reaching the range's smallest key. Keys "a"
-// (tuple forced onto heap page >= 1, TID first byte >= 1) and "a\x00?"
-// (next key byte 0x00) produce exactly that interleaving.
+// TestScanPrefixInterleavedKeys: a key and the keys that extend it
+// through the bytes 0x00 and 0x01 used to interleave their index entries
+// under a plain key||TID layout. In the run layout every key owns one
+// contiguous run of entries, runs follow user-key order, and each run is
+// newest first; SCAN, limited or not, returns the keys in order.
 func TestScanPrefixInterleavedKeys(t *testing.T) {
 	db, srv := newTestServer(t, core.Memory())
 	defer db.Close()
 	defer srv.Close()
 	cl := dial(t, srv)
 
-	// Push the heap past page 0 so later tuples get TIDs with a nonzero
-	// low page byte.
-	pad := strings.Repeat("p", 2000)
-	for i := 0; i < 24; i++ {
-		cl.expect(fmt.Sprintf("PUT z%02d %s", i, pad), "OK")
-	}
-	for _, k := range []string{"a\x00a", "a\x00b", "a\x00c", "a\x00d"} {
-		cl.expect("PUT "+k+" ext", "OK")
-	}
-	cl.expect("PUT a short", "OK")
-
-	tid, _, found, err := srv.lookupVisible([]byte("a"))
-	if err != nil || !found {
-		t.Fatalf("lookup of key a: found=%v err=%v", found, err)
-	}
-	if byte(tid.PageNo) == 0 {
-		t.Fatal("test setup: key \"a\" landed on heap page 0; its entries would not interleave — increase padding")
+	want := []string{"a", "a\x00a", "a\x00b", "a\x01", "a\x01\x00", "a\x02"}
+	for round := 0; round < 3; round++ {
+		for i := len(want) - 1; i >= 0; i-- {
+			cl.expect(fmt.Sprintf("PUT %s v%d", want[i], round), "OK")
+		}
 	}
 
-	// "a" is the smallest key in [a, b) but its entries sort after every
-	// "a\x00?" entry; a limited SCAN must still rank it first.
+	// The raw index: after the layout marker, one run per key in key
+	// order, each run's TIDs strictly descending.
+	var keys []string
+	var prev heap.TID
+	err := srv.idx.Scan(nil, nil, func(e []byte, tid heap.TID) bool {
+		if bytes.Equal(e, layoutMarker) {
+			return true
+		}
+		k := string(userKey(e[:len(e)-tidLen]))
+		if n := len(keys); n > 0 && keys[n-1] == k {
+			if prev.PageNo < tid.PageNo || (prev.PageNo == tid.PageNo && prev.Slot <= tid.Slot) {
+				t.Errorf("run of %q not newest first: %v then %v", k, prev, tid)
+			}
+		} else {
+			keys = append(keys, k)
+		}
+		prev = tid
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(keys, "|") != strings.Join(want, "|") {
+		t.Fatalf("index runs %q, want one run per key in order %q", keys, want)
+	}
+
 	rows, final := cl.scan("SCAN a b 2")
-	if final != "OK 2" {
-		t.Fatalf("SCAN a b 2: rows=%v final=%q", rows, final)
+	if final != "OK 2" || rows[0] != "a v2" || rows[1] != "a\x00a v2" {
+		t.Fatalf("SCAN a b 2: rows=%q final=%q", rows, final)
 	}
-	if rows[0] != "a short" || rows[1] != "a\x00a ext" {
-		t.Fatalf("limited SCAN missed the low-sorting key: %q", rows)
+	rows, final = cl.scan("SCAN a\x00b a\x01\x00")
+	if final != "OK 2" || rows[0] != "a\x00b v2" || rows[1] != "a\x01 v2" {
+		t.Fatalf("SCAN a\\x00b a\\x01\\x00: rows=%q final=%q", rows, final)
 	}
-
-	// The unlimited range returns every key, still in key order.
 	rows, final = cl.scan("SCAN a b")
-	want := []string{"a short", "a\x00a ext", "a\x00b ext", "a\x00c ext", "a\x00d ext"}
 	if final != fmt.Sprintf("OK %d", len(want)) {
-		t.Fatalf("SCAN a b: rows=%v final=%q", rows, final)
+		t.Fatalf("SCAN a b: rows=%q final=%q", rows, final)
 	}
 	for i := range want {
-		if rows[i] != want[i] {
-			t.Fatalf("SCAN row %d = %q, want %q (all: %q)", i, rows[i], want[i], rows)
+		if rows[i] != want[i]+" v2" {
+			t.Fatalf("SCAN row %d = %q, want %q (all: %q)", i, rows[i], want[i]+" v2", rows)
 		}
 	}
 }

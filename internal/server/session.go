@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,10 +16,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/txn"
 )
-
-// tidLen is the byte length of an encoded heap.TID, the suffix MakeUnique
-// appends to turn a user key into a unique index key.
-var tidLen = len(heap.TID{}.Bytes())
 
 const (
 	maxLine     = 1 << 20 // longest accepted request line
@@ -166,6 +162,8 @@ func (ss *session) fail(err error) {
 		ss.reply("ERR failed %v", err)
 	case errors.Is(err, core.ErrQuarantined):
 		ss.reply("ERR quarantined %v", err)
+	case errors.Is(err, heap.ErrConflict):
+		ss.reply("ERR conflict %v", err)
 	default:
 		ss.reply("ERR server %v", err)
 	}
@@ -364,105 +362,258 @@ func (ss *session) cmdStats() {
 
 // --- KV semantics over the heap + index ----------------------------------
 //
-// The index holds <user key, TID> made unique POSTGRES-style by appending
-// the 6-byte tuple identifier (core.MakeUnique, §2). A user key therefore
-// owns a contiguous run of index entries — one per tuple version — and
-// tuple visibility against the status table decides which one is current.
-// Dead entries (aborted writers, superseded versions) are tolerated by
-// readers and reclaimed by the vacuum, never transactionally.
+// Every tuple version of user key k has one index entry. The tuple
+// identifier makes it unique, POSTGRES-style (§2), and the layout gives k
+// one exact run, newest version first:
+//
+//	esc(k) 0x00 ^TID
+//
+// esc writes 0x00 as 0x01 0x01 and 0x01 as 0x01 0x02 and keeps every other
+// byte. That keeps byte order and leaves no 0x00 inside the key, so the
+// 0x00 terminator ends it: k's entries are exactly the index range
+// [esc(k) 0x00, esc(k) 0x01), and the entries of a key that extends k sort
+// wholly after them. ^TID is the TID big-endian with every bit inverted,
+// so a run is ordered by descending TID, the latest heap placement first.
+// Readers take the first visible entry of a run. Dead entries (aborted
+// writers, superseded versions) stay behind for the vacuum; nothing removes
+// them transactionally.
+//
+// Writers follow the heap's xmax rule. A write replaces the version its
+// transaction sees as current (its own latest write of the key, else the
+// newest committed version) by stamping that version's xmax. A version
+// already stamped by another running transaction is a conflict (ERR
+// conflict); a stamp left by a dead one is taken over. Two inserts of a
+// key that had no visible version do not conflict; if both commit, the
+// higher TID, first in the run, wins.
 
-// lookupVisible resolves key to its newest visible version. Multiple
-// visible versions can exist only under concurrent uncoordinated writers
-// (the engine has no write-write locking); the highest TID — the latest
-// heap placement — wins deterministically.
-func (s *Server) lookupVisible(key []byte) (heap.TID, []byte, bool, error) {
-	var (
-		bestTID heap.TID
-		bestVal []byte
+// tidLen is the length of the ^TID suffix of an index entry.
+const tidLen = 6
+
+// layoutMarker is the first entry of every KV index New creates. It is
+// shorter than any real entry, so no user key encodes to it, and it sorts
+// before all of them: only the empty key, which the protocol cannot send,
+// would share its range.
+var layoutMarker = []byte{0x00}
+
+// ErrOldLayout refuses a KV index whose entries are not in the run layout.
+var ErrOldLayout = errors.New("server: KV index was written in the older key‖TID layout")
+
+// ensureLayout writes the layout marker into an empty index, and refuses an
+// index whose first entry is something else: its entries would be misread.
+func ensureLayout(db *core.DB, idx core.KVIndex) error {
+	var first []byte
+	if err := idx.Scan(nil, nil, func(k []byte, _ heap.TID) bool {
+		first = bytes.Clone(k)
+		return false
+	}); err != nil {
+		return err
+	}
+	if first != nil {
+		if !bytes.Equal(first, layoutMarker) {
+			return fmt.Errorf("%w: index %q starts with entry %q, not the layout marker", ErrOldLayout, idx.Name(), first)
+		}
+		return nil
+	}
+	tx := db.Begin()
+	if err := idx.InsertTID(tx, layoutMarker, heap.TID{}); err != nil {
+		_ = tx.Abort()
+		return err
+	}
+	return tx.Commit()
+}
+
+// appendRun appends esc(k) 0x00, the first key of k's run, to dst.
+func appendRun(dst, k []byte) []byte {
+	if bytes.IndexByte(k, 0x00) < 0 && bytes.IndexByte(k, 0x01) < 0 {
+		return append(append(dst, k...), 0x00) // nothing to escape
+	}
+	for _, c := range k {
+		switch c {
+		case 0x00, 0x01:
+			dst = append(dst, 0x01, c+1)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, 0x00)
+}
+
+// entryKey is k's index entry for the version at tid.
+func entryKey(k []byte, tid heap.TID) []byte {
+	e := appendRun(make([]byte, 0, len(k)+1+tidLen), k)
+	p, sl := tid.PageNo, tid.Slot
+	return append(e, ^byte(p>>24), ^byte(p>>16), ^byte(p>>8), ^byte(p), ^byte(sl>>8), ^byte(sl))
+}
+
+// userKey decodes the user key of a run prefix esc(k) 0x00.
+func userKey(run []byte) []byte {
+	k := make([]byte, 0, len(run)-1)
+	for i := 0; i < len(run)-1; i++ {
+		c := run[i]
+		if c == 0x01 {
+			i++
+			c = run[i] - 1
+		}
+		k = append(k, c)
+	}
+	return k
+}
+
+// fetch reads the tuple at tid. ok is false for an invisible version; err
+// is set only when the store itself fails.
+func (s *Server) fetch(tid heap.TID) (data []byte, ok bool, err error) {
+	data, err = s.rel.Fetch(tid)
+	if errors.Is(err, heap.ErrNoSuchTuple) {
+		return nil, false, nil
+	}
+	return data, err == nil, err
+}
+
+// firstVisible returns the first entry of key's run that visible accepts.
+//
+// A read that finds nothing may have raced a committing writer: the
+// writer's new version was skipped while its creator still ran (or entered
+// the index behind the scan), the creator committed, and the version it
+// replaced was dead by the time it was checked. So a miss is trusted only
+// if no skipped version was deleted by a transaction that committed during
+// the read; otherwise the run is read again. Commits of other keys never
+// force a re-read.
+func (s *Server) firstVisible(key []byte, visible func(heap.TID) (bool, error)) (heap.TID, bool, error) {
+	// lo and hi share one allocation.
+	n := len(key) + 1 + bytes.Count(key, []byte{0x00}) + bytes.Count(key, []byte{0x01})
+	buf := appendRun(make([]byte, 0, 2*n), key)
+	buf = append(buf, buf...)
+	lo, hi := buf[:n], buf[n:]
+	hi[n-1] = 0x01
+	var r struct { // one allocation for everything the scan callback sets
+		tid     heap.TID
 		found   bool
-	)
-	err := s.idx.Scan(key, nil, func(e []byte, tid heap.TID) bool {
-		if !bytes.HasPrefix(e, key) {
-			return false // sorted: once past the key's prefix run, done
+		skipped []heap.TID
+		err     error
+	}
+	for {
+		epoch := s.db.Manager().Commits()
+		r.found, r.skipped, r.err = false, r.skipped[:0], nil
+		err := s.idx.Scan(lo, hi, func(_ []byte, t heap.TID) bool {
+			r.found, r.err = visible(t)
+			if r.found {
+				r.tid = t
+			} else if r.err == nil {
+				r.skipped = append(r.skipped, t)
+			}
+			return !r.found && r.err == nil
+		})
+		if err == nil {
+			err = r.err
 		}
-		if len(e) != len(key)+tidLen {
-			return true // a longer user key sharing the prefix; keep going
+		if err != nil || r.found || !s.deletedSince(r.skipped, epoch) {
+			return r.tid, r.found, err
 		}
-		data, err := s.rel.Fetch(tid)
-		if err != nil {
-			return true // dead or invisible version
+	}
+}
+
+// deletedSince reports whether a transaction that committed after
+// Commits returned epoch deleted one of the versions at tids.
+func (s *Server) deletedSince(tids []heap.TID, epoch uint64) bool {
+	mgr := s.db.Manager()
+	if len(tids) == 0 || mgr.Commits() == epoch {
+		return false
+	}
+	for _, t := range tids {
+		if _, xmax, err := s.rel.Heap().Header(t); err == nil && mgr.CommittedAfter(xmax, epoch) {
+			return true
 		}
-		if !found || tidLess(bestTID, tid) {
-			bestTID, bestVal, found = tid, data, true
-		}
-		return true
+	}
+	return false
+}
+
+// lookupVisible resolves key to its newest committed version and value.
+func (s *Server) lookupVisible(key []byte) (heap.TID, []byte, bool, error) {
+	var val []byte
+	tid, found, err := s.firstVisible(key, func(t heap.TID) (ok bool, err error) {
+		val, ok, err = s.fetch(t)
+		return ok, err
 	})
-	if err != nil {
-		return heap.TID{}, nil, false, err
-	}
-	return bestTID, bestVal, found, nil
+	return tid, val, found, err
 }
 
-func tidLess(a, b heap.TID) bool {
-	if a.PageNo != b.PageNo {
-		return a.PageNo < b.PageNo
-	}
-	return a.Slot < b.Slot
+// current finds the version of key that tx replaces: its own latest write
+// of key, or else the newest committed version it has not deleted itself.
+func (s *Server) current(tx *core.Txn, key []byte) (heap.TID, bool, error) {
+	me := tx.XID()
+	return s.firstVisible(key, func(t heap.TID) (bool, error) {
+		xmin, xmax, err := s.rel.Heap().Header(t)
+		if errors.Is(err, heap.ErrNoSuchTuple) {
+			return false, nil
+		}
+		mgr := s.db.Manager()
+		created := xmin == me || mgr.Committed(xmin)
+		deleted := xmax != 0 && (xmax == me || mgr.Committed(xmax))
+		return err == nil && created && !deleted, err
+	})
 }
 
-// put writes key=value under tx: an update of the current visible version
-// if one exists, an insert otherwise. The new version gets its own index
-// entry; the old entry stays behind pointing at the now-dead version, as
-// the no-overwrite discipline requires.
-func (s *Server) put(tx *core.Txn, key, value []byte) error {
-	old, _, exists, err := s.lookupVisible(key)
+// write places value as key's new heap version under tx: an update of the
+// version tx sees as current if there is one, an insert otherwise. The old
+// version's index entry stays behind, pointing at a dead tuple, as the
+// no-overwrite discipline requires.
+func (s *Server) write(tx *core.Txn, key, value []byte) (heap.TID, error) {
+	old, exists, err := s.current(tx, key)
 	if err != nil {
-		return err
+		return heap.TID{}, err
 	}
-	var tid heap.TID
 	if exists {
-		tid, err = s.rel.Update(tx, old, value)
-	} else {
-		tid, err = s.rel.Insert(tx, value)
+		return s.rel.Update(tx, old, value)
 	}
+	return s.rel.Insert(tx, value)
+}
+
+// put writes key=value under tx and indexes the new version.
+func (s *Server) put(tx *core.Txn, key, value []byte) error {
+	tid, err := s.write(tx, key, value)
 	if err != nil {
 		return err
 	}
-	return s.idx.InsertTID(tx, core.MakeUnique(key, tid), tid)
+	return s.idx.InsertTID(tx, entryKey(key, tid), tid)
 }
 
-// putBatch is put over many pairs: each pair resolves its visible version
-// and writes its heap tuple individually, then every index entry lands in
-// one InsertTIDBatch. MakeUnique appends the tuple's TID, so the batch's
-// index keys are distinct even when user keys repeat within it (each
-// occurrence gets its own version; the highest TID stays the visible one).
+// putBatch is put over many pairs: each pair writes its heap version
+// individually, then every index entry lands in one InsertTIDBatch. A key
+// repeated in the batch is written once, with its last value: the index
+// entries of the batch are not in the run yet, so an earlier occurrence's
+// version could not be found and superseded.
 func (s *Server) putBatch(tx *core.Txn, keys, values [][]byte) error {
-	ikeys := make([][]byte, len(keys))
-	tids := make([]heap.TID, len(keys))
-	for i := range keys {
-		old, _, exists, err := s.lookupVisible(keys[i])
+	// Sort positions by key, stably, so each repeat follows the occurrence
+	// it overrides.
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	overridden := make([]bool, len(keys))
+	for i := 1; i < len(order); i++ {
+		overridden[order[i-1]] = bytes.Equal(keys[order[i-1]], keys[order[i]])
+	}
+	ikeys := make([][]byte, 0, len(keys))
+	tids := make([]heap.TID, 0, len(keys))
+	for i, k := range keys {
+		if overridden[i] {
+			continue
+		}
+		tid, err := s.write(tx, k, values[i])
 		if err != nil {
 			return err
 		}
-		var tid heap.TID
-		if exists {
-			tid, err = s.rel.Update(tx, old, values[i])
-		} else {
-			tid, err = s.rel.Insert(tx, values[i])
-		}
-		if err != nil {
-			return err
-		}
-		ikeys[i] = core.MakeUnique(keys[i], tid)
-		tids[i] = tid
+		ikeys = append(ikeys, entryKey(k, tid))
+		tids = append(tids, tid)
 	}
 	return s.idx.InsertTIDBatch(tx, ikeys, tids)
 }
 
-// del stamps the current visible version dead. The index entry remains;
-// visibility filtering hides it immediately after commit.
+// del stamps the version tx sees as current dead. The index entry
+// remains; visibility filtering hides the version once tx commits.
 func (s *Server) del(tx *core.Txn, key []byte) (bool, error) {
-	tid, _, exists, err := s.lookupVisible(key)
+	tid, exists, err := s.current(tx, key)
 	if err != nil || !exists {
 		return false, err
 	}
@@ -471,108 +622,42 @@ func (s *Server) del(tx *core.Txn, key []byte) (bool, error) {
 
 type kvRow struct{ key, val []byte }
 
-// scanVisible walks user keys in [lo, hi) (nil = open bound), resolving
-// each to its newest visible version, and returns up to limit rows in key
-// order.
+// scanVisible walks user keys in [lo, hi) (nil = open bound) in key order
+// and returns up to limit rows, each key's newest visible version. A run
+// costs one fetch per version up to its first visible one; the rest of the
+// run is stepped over by comparing keys, without fetching.
 func (s *Server) scanVisible(lo, hi []byte, limit int) ([]kvRow, error) {
-	type cand struct {
-		tid heap.TID
-		val []byte
+	var end []byte
+	if hi != nil {
+		end = appendRun(nil, hi)
 	}
-	// best holds a candidate newest version for each of the (up to limit)
-	// smallest in-range keys seen so far; keys mirrors its key set in
-	// sorted order. Keys beyond the limit-th are evicted as smaller ones
-	// arrive — they can never appear in the result.
-	best := make(map[string]cand)
-	var keys []string
-	err := s.idx.Scan(lo, nil, func(e []byte, tid heap.TID) bool {
-		if len(e) < tidLen {
+	var (
+		rows []kvRow
+		done []byte // run whose visible version is already in rows
+		ferr error
+	)
+	err := s.idx.Scan(appendRun(nil, lo), end, func(e []byte, tid heap.TID) bool {
+		if len(e) <= tidLen {
+			return true // the layout marker
+		}
+		run := e[:len(e)-tidLen]
+		if bytes.Equal(run, done) {
 			return true
 		}
-		key := e[:len(e)-tidLen]
-		inRange := (lo == nil || bytes.Compare(key, lo) >= 0) &&
-			(hi == nil || bytes.Compare(key, hi) < 0)
-		if !inRange {
-			// Entries of a user key form the contiguous index range
-			// prefixed by that key, but entries of DIFFERENT keys that
-			// share a prefix interleave: "a"+tid entries straddle every
-			// "a?"+tid run. So an out-of-range entry only ends the scan
-			// once no in-range key could still prefix later entries.
-			if hi != nil && !hasInRangePrefix(e, lo, hi) {
-				return false
-			}
-			return true
+		data, ok, err := s.fetch(tid)
+		if !ok {
+			ferr = err
+			return err == nil
 		}
-		ks := string(key)
-		if _, tracked := best[ks]; !tracked && len(keys) == limit && ks > keys[limit-1] {
-			// The result set is full and this key sorts past its largest
-			// member, so it cannot appear in the first limit rows. Keys
-			// are NOT visited in key order (the prefix interleaving
-			// above), so this alone does not end the scan: the only keys
-			// <= keys[limit-1] whose entries can still follow e are
-			// proper prefixes of e — a prefix key's entry run straddles
-			// its extensions' runs, every other key's run is fully
-			// behind us. Once no such prefix could exist, we are done.
-			if !hasPrefixThrough(e, lo, []byte(keys[limit-1])) {
-				return false
-			}
-			return true
-		}
-		data, err := s.rel.Fetch(tid)
-		if err != nil {
-			return true // dead version
-		}
-		if prev, ok := best[ks]; ok {
-			if tidLess(prev.tid, tid) {
-				best[ks] = cand{tid, data}
-			}
-			return true
-		}
-		best[ks] = cand{tid, data}
-		i := sort.SearchStrings(keys, ks)
-		keys = append(keys, "")
-		copy(keys[i+1:], keys[i:])
-		keys[i] = ks
-		if len(keys) > limit {
-			delete(best, keys[limit])
-			keys = keys[:limit]
-		}
-		return true
+		rows = append(rows, kvRow{key: userKey(run), val: data})
+		done = append(done[:0], run...)
+		return len(rows) < limit
 	})
+	if err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]kvRow, 0, len(keys))
-	for _, ks := range keys {
-		rows = append(rows, kvRow{key: []byte(ks), val: best[ks].val})
-	}
 	return rows, nil
-}
-
-// hasInRangePrefix reports whether any proper prefix of index entry e is a
-// user key inside [lo, hi) — conservatively, whether such a key COULD
-// exist: if one does, its remaining entries may still follow e, so the
-// scan must keep going.
-func hasInRangePrefix(e, lo, hi []byte) bool {
-	for n := 0; n < len(e); n++ {
-		p := e[:n]
-		if (lo == nil || bytes.Compare(p, lo) >= 0) && bytes.Compare(p, hi) < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// hasPrefixThrough is hasInRangePrefix with an INCLUSIVE upper bound: could
-// any proper prefix of e be a user key in [lo, ub]? Used for the limit
-// cutoff, where ub — the largest key currently in the result set — is
-// itself still a live candidate.
-func hasPrefixThrough(e, lo, ub []byte) bool {
-	for n := 0; n < len(e); n++ {
-		p := e[:n]
-		if (lo == nil || bytes.Compare(p, lo) >= 0) && bytes.Compare(p, ub) <= 0 {
-			return true
-		}
-	}
-	return false
 }

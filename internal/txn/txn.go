@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/heap"
@@ -75,11 +76,17 @@ type Manager struct {
 	disk storage.Disk
 	obs  *obs.Recorder // nil-safe; set once before concurrent use
 
-	mu        sync.Mutex
-	nextXID   heap.XID
-	committed map[heap.XID]bool
+	mu      sync.Mutex
+	nextXID heap.XID
+	// committed maps each committed XID to its commit sequence: the value
+	// of commits right after it became visible, 0 for commits loaded at
+	// open.
+	committed map[heap.XID]uint64
 	order     []heap.XID // committed XIDs in on-disk (commit) order
 	active    map[heap.XID]*Txn
+	// commits counts the transactions made visible since open. It moves
+	// in the same m.mu section that updates committed (see Commits).
+	commits atomic.Uint64
 
 	gc groupCommitter
 
@@ -116,7 +123,7 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 	m := &Manager{
 		disk:      disk,
 		nextXID:   2, // XID 1 is the bootstrap transaction
-		committed: map[heap.XID]bool{1: true},
+		committed: map[heap.XID]uint64{1: 0},
 		order:     []heap.XID{1},
 		active:    make(map[heap.XID]*Txn),
 	}
@@ -138,8 +145,8 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 	if next > uint64(m.nextXID) {
 		m.nextXID = heap.XID(next)
 	}
-	m.committed = make(map[heap.XID]bool, count+1)
-	m.committed[1] = true
+	m.committed = make(map[heap.XID]uint64, count+1)
+	m.committed[1] = 0
 	m.order = m.order[:0]
 	read := uint64(0)
 	off := statusBase + 16
@@ -156,7 +163,7 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 			off = statusBase
 		}
 		x := heap.XID(getU64(buf[off:]))
-		m.committed[x] = true
+		m.committed[x] = 0
 		m.order = append(m.order, x)
 		off += 8
 		read++
@@ -194,7 +201,31 @@ func (m *Manager) Begin() *Txn {
 func (m *Manager) Committed(x heap.XID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.committed[x]
+	_, ok := m.committed[x]
+	return ok
+}
+
+// Active implements heap.TxnStatus: x has begun and has not finished. A
+// committing transaction leaves the running set only after it is marked
+// committed (runBatch), as heap.TxnStatus requires.
+func (m *Manager) Active(x heap.XID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.active[x] != nil
+}
+
+// Commits returns how many transactions have become visible since the
+// manager opened. With CommittedAfter it tells a reader which commits
+// landed after a point in its read: the count moves in the same m.mu
+// section that publishes each commit, and Committed takes m.mu.
+func (m *Manager) Commits() uint64 { return m.commits.Load() }
+
+// CommittedAfter reports whether x committed after Commits returned n.
+func (m *Manager) CommittedAfter(x heap.XID, n uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	seq, ok := m.committed[x]
+	return ok && seq > n
 }
 
 // HighestCommitted returns the largest committed XID (for as-of snapshots).
@@ -374,7 +405,7 @@ func (m *Manager) runBatch(batch []*commitReq) {
 		} else {
 			m.mu.Lock()
 			for _, x := range xids {
-				m.committed[x] = true
+				m.committed[x] = m.commits.Add(1)
 			}
 			m.mu.Unlock()
 		}

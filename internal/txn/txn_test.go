@@ -221,3 +221,36 @@ func TestEndToEndVisibilityWithHeap(t *testing.T) {
 		t.Fatalf("tuple invisible after commit: %v", err)
 	}
 }
+
+// TestActiveAndCommits: a transaction is active from Begin until it
+// finishes, Commits moves exactly when a commit becomes visible, and
+// CommittedAfter orders a commit against a Commits sample.
+func TestActiveAndCommits(t *testing.T) {
+	m, _ := newMgr(t)
+	before := m.Commits()
+	a, b := m.Begin(), m.Begin()
+	if !m.Active(a.XID()) || !m.Active(b.XID()) {
+		t.Fatal("begun transactions must be active")
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Active(a.XID()) || m.Active(b.XID()) {
+		t.Fatal("finished transactions must not be active")
+	}
+	if m.Active(heap.XID(1)) || m.Active(b.XID()+100) {
+		t.Fatal("bootstrap and never-begun XIDs are not active")
+	}
+	if got := m.Commits() - before; got != 1 {
+		t.Fatalf("Commits moved by %d over one commit and one abort", got)
+	}
+	if !m.CommittedAfter(a.XID(), before) || m.CommittedAfter(a.XID(), m.Commits()) {
+		t.Fatal("CommittedAfter must place the commit between the two samples")
+	}
+	if m.CommittedAfter(b.XID(), before) || m.CommittedAfter(heap.XID(1), 0) {
+		t.Fatal("aborted and bootstrap XIDs did not commit after open")
+	}
+}

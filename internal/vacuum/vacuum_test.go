@@ -20,6 +20,7 @@ func key(i int) []byte {
 type fakeStatus map[heap.XID]bool
 
 func (f fakeStatus) Committed(x heap.XID) bool { return f[x] }
+func (f fakeStatus) Active(heap.XID) bool      { return false }
 
 func TestIndexSweepReclaimsUnreachablePages(t *testing.T) {
 	d := storage.NewMemDisk()
@@ -145,7 +146,7 @@ func TestHeapSweepMarksDeadAndCleansIndex(t *testing.T) {
 		tids = append(tids, tid)
 	}
 	for i := 0; i < 30; i += 2 {
-		if err := rel.Delete(tids[i], 2); err != nil {
+		if err := rel.Delete(tids[i], 2, status); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +196,7 @@ func TestHeapSweepRespectsOldestActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.Delete(tid, 5); err != nil {
+	if err := rel.Delete(tid, 5, status); err != nil {
 		t.Fatal(err)
 	}
 	// A reader as of XID 3 still needs the version: oldestActive = 3
