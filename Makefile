@@ -3,13 +3,13 @@
 # coverage gate + the degraded-mode/quarantine gate + nested-fault crash
 # rounds + a one-iteration smoke of the parallel benchmarks + the serving
 # layer smoke (full protocol over TCP, crash-recover round, group-commit
-# batching under concurrent clients).
+# batching under concurrent clients) + the benchmark module's vet and tests.
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild
+.PHONY: check fmt vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild perfbench
 
-check: fmt vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke
+check: fmt vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke perfbench
 
 # Every Go source must be gofmt-clean. Hidden directories (.bench_build,
 # scratch dirs) hold build caches, not sources, and are skipped.
@@ -90,24 +90,27 @@ bench-server:
 	$(GO) run ./cmd/fastrec-bench -server -clients 1,2,4,8 -json
 
 # The sharding gate, all under the race detector: the router's merged
-# scans and parallel recovery, the sharded core index (crash/recover with
-# every shard dirty, supervisor healing a fault in every shard, heap
-# rebuilds that respect shard routing), the txn layer's parallel force
+# scans and parallel recovery, the core index over several trees
+# (crash/recover with every shard dirty, supervisor healing a fault in
+# every shard, heap rebuilds that respect shard routing, one name per
+# index, the same answers at 1, 2 and 4 trees), the txn layer's parallel force
 # fan-out across sync domains, and a multi-shard server crash/recover
 # round over real TCP.
 shard-smoke:
 	$(GO) test -race ./internal/shard
-	$(GO) test -race ./internal/core -run TestSharded
+	$(GO) test -race ./internal/core -run 'TestSharded|TestOneNameOneIndex|TestIndexDifferential'
 	$(GO) test -race ./internal/txn -run TestBatchForce
 	$(GO) test -race ./internal/server -run TestServerSharded
 
 # The hot-path gate: the zero-allocation point-op assertions (a warm lookup
-# hit and a no-split insert must not touch the heap), batched inserts racing
+# hit and a no-split insert must not touch the heap; a one-tree index scan
+# allocates no more than its tree's scan), batched inserts racing
 # point inserts under the race detector, the scan-resistant eviction tests
 # (including the exact legacy-clock fallback for tiny stripes), and the
 # batched MPUT verb end to end over TCP.
 hotpath-smoke:
 	$(GO) test ./internal/btree -run 'ZeroAllocs|TestInsertBatch|TestLookupInto'
+	$(GO) test ./internal/core -run TestOneTreeScanAllocs
 	$(GO) test -race ./internal/btree -run TestInsertBatchConcurrent
 	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool|TestSetLegacy'
 	$(GO) test -race ./internal/server -run TestServerMput
@@ -126,13 +129,13 @@ bench-shards:
 	$(GO) run ./cmd/fastrec-bench -recover -shards 1,2,4,8 -json
 
 # The bulk-load gate: the loader's differential and property tests against
-# the insert path, the core bulk-load/rebuild-from-heap layer (sharded
-# rebuilds and the supervisor's wholesale escalation) under the race
+# the insert path, the core bulk-load/rebuild-from-heap layer (at 1 and 4
+# trees, and the supervisor's wholesale escalation) under the race
 # detector, the dump tool's rebuild round trip, and crash enumeration at
 # every sync point of a bulk load and a wholesale rebuild for two variants.
 bulkload-smoke:
 	$(GO) test -race ./internal/btree -run 'TestBulkLoad|TestBulkReplace|TestQuickBulkLoad'
-	$(GO) test -race ./internal/core -run 'TestIndexBulkLoad|TestShardedBulkLoad|TestIndexRebuild|TestShardedRebuild|TestSupervisorWholesale'
+	$(GO) test -race ./internal/core -run 'TestIndexBulkLoad|TestIndexRebuild|TestSupervisorWholesale'
 	$(GO) test ./cmd/fastrec-dump -run TestRebuildDir
 	$(GO) run ./cmd/fastrec-crash -variant shadow -bulkload -bulk-keys 1200 -seed 1
 	$(GO) run ./cmd/fastrec-crash -variant reorg -bulkload -bulk-keys 1200 -faults -seed 1
@@ -143,3 +146,9 @@ bulkload-smoke:
 bench-rebuild:
 	$(GO) run ./cmd/fastrec-bench -rebuild -json > BENCH_rebuild.json
 	@cat BENCH_rebuild.json
+
+# The benchmark module (perfbench/) is a Go module of its own, so the root
+# `go build ./...` never compiles it: vet it and run its tests here, or a
+# core API change could break the benchmark while everything else passes.
+perfbench:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...

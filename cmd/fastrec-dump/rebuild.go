@@ -63,17 +63,9 @@ func rebuildDir(dir, relName, indexName string, variant btree.Variant, shards in
 	if err != nil {
 		return core.RebuildStats{}, err
 	}
-	identity := func(data []byte) []byte { return data }
-	if shards > 1 {
-		ix, err := db.CreateShardedIndex(indexName, variant, shards)
-		if err != nil {
-			return core.RebuildStats{}, err
-		}
-		return ix.Rebuild(rel, identity)
-	}
-	ix, err := db.CreateIndex(indexName, variant)
+	ix, err := db.OpenIndex(indexName, variant, shards)
 	if err != nil {
 		return core.RebuildStats{}, err
 	}
-	return ix.Rebuild(rel, identity)
+	return ix.Rebuild(rel, func(data []byte) []byte { return data })
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,210 +34,33 @@ func commitRun(t *testing.T, db *DB, rel *Relation, n int) ([][]byte, []heap.TID
 	return keys, tids
 }
 
-func TestIndexBulkLoad(t *testing.T) {
+// openAcct opens a fresh in-memory DB with relation acct and the index
+// acct_pk over nTrees trees.
+func openAcct(t *testing.T, nTrees int) (*DB, *Relation, *Index) {
+	t.Helper()
 	db, err := Open(Memory(), Config{Variant: Shadow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	rel, err := db.CreateRelation("acct")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := db.CreateIndex("acct_pk", Shadow)
+	ix, err := db.OpenIndex("acct_pk", Shadow, nTrees)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, tids := commitRun(t, db, rel, 5000)
-	var kv KVIndex = ix
-	if err := kv.BulkLoad(keys, tids); err != nil {
-		t.Fatalf("BulkLoad: %v", err)
-	}
-	for i := range keys {
-		tid, err := ix.LookupTID(keys[i])
-		if err != nil || tid != tids[i] {
-			t.Fatalf("key %d: tid %v, %v", i, tid, err)
-		}
-		data, err := ix.FetchVisible(rel, keys[i])
-		if err != nil || !bytes.Equal(data, keys[i]) {
-			t.Fatalf("key %d: fetch %q, %v", i, data, err)
-		}
-	}
-	if err := ix.Tree().Check(btree.CheckStrict); err != nil {
-		t.Fatalf("Check: %v", err)
-	}
-	// Loading again must refuse: the index is no longer empty.
-	if err := kv.BulkLoad(keys, tids); !errors.Is(err, btree.ErrNotEmpty) {
-		t.Fatalf("second BulkLoad: %v, want ErrNotEmpty", err)
-	}
+	return db, rel, ix
 }
 
-func TestShardedBulkLoad(t *testing.T) {
-	db, err := Open(Memory(), Config{Variant: Shadow, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	rel, err := db.CreateRelation("acct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := db.CreateShardedIndex("acct_pk", Shadow, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, tids := commitRun(t, db, rel, 4000)
-	var kv KVIndex = ix
-	if err := kv.BulkLoad(keys, tids); err != nil {
-		t.Fatalf("sharded BulkLoad: %v", err)
-	}
-	for i := range keys {
-		tid, err := ix.LookupTID(keys[i])
-		if err != nil || tid != tids[i] {
-			t.Fatalf("key %d: tid %v, %v", i, tid, err)
-		}
-	}
-	// The merged scan must see every key in order across shards.
-	var got int
-	var last []byte
-	err = ix.Scan(nil, nil, func(k []byte, _ heap.TID) bool {
-		if last != nil && bytes.Compare(last, k) >= 0 {
-			t.Fatalf("merged scan out of order: %q then %q", last, k)
-		}
-		last = append(last[:0], k...)
-		got++
-		return true
-	})
-	if err != nil || got != len(keys) {
-		t.Fatalf("merged scan: %d keys, %v", got, err)
-	}
-	for i, tr := range ix.trees {
-		if err := tr.Check(btree.CheckStrict); err != nil {
-			t.Fatalf("shard %d Check: %v", i, err)
-		}
-	}
-}
-
-// Rebuild re-derives the index from the heap: dead versions disappear,
-// visible ones survive, and the swap leaves a structurally clean tree.
-func TestIndexRebuildFromHeap(t *testing.T) {
-	db, err := Open(Memory(), Config{Variant: Shadow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	rel, err := db.CreateRelation("acct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := db.CreateIndex("acct_pk", Shadow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, tids := commitRun(t, db, rel, 3000)
-	tx := db.Begin()
-	for i := range keys {
-		if err := ix.InsertTID(tx, keys[i], tids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Kill every third tuple; the index still carries its key.
-	tx = db.Begin()
-	for i := 0; i < len(keys); i += 3 {
-		if err := rel.Delete(tx, tids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	var kv KVIndex = ix
-	stats, err := kv.Rebuild(rel, func(data []byte) []byte { return data })
-	if err != nil {
-		t.Fatalf("Rebuild: %v", err)
-	}
-	wantLive := 0
-	for i := range keys {
-		live := i%3 != 0
-		if live {
-			wantLive++
-		}
-		tid, err := ix.LookupTID(keys[i])
-		switch {
-		case live && (err != nil || tid != tids[i]):
-			t.Fatalf("live key %d lost: %v, %v", i, tid, err)
-		case !live && !errors.Is(err, btree.ErrKeyNotFound):
-			t.Fatalf("dead key %d resurrected: %v, %v", i, tid, err)
-		}
-	}
-	if stats.Keys != wantLive {
-		t.Fatalf("stats.Keys = %d, want %d", stats.Keys, wantLive)
-	}
-	if stats.Shards != 1 || stats.Leaves == 0 || stats.Levels == 0 {
-		t.Fatalf("implausible stats: %+v", stats)
-	}
-	if err := ix.Tree().Check(btree.CheckStrict); err != nil {
-		t.Fatalf("Check after rebuild: %v", err)
-	}
-}
-
-// Sharded rebuild: one heap scan fans out to all shards in parallel, each
-// shard keeps exactly the keys the router hashes to it.
-func TestShardedRebuildParallel(t *testing.T) {
-	db, err := Open(Memory(), Config{Variant: Shadow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	rel, err := db.CreateRelation("acct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 4
-	ix, err := db.CreateShardedIndex("acct_pk", Shadow, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, tids := commitRun(t, db, rel, 3000)
-	// Seed the shards with garbage the rebuild must sweep away.
-	tx := db.Begin()
-	for i := 0; i < 50; i++ {
-		if err := ix.InsertTID(tx, []byte{0xFF, byte(i)}, tids[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	var kv KVIndex = ix
-	stats, err := kv.Rebuild(rel, func(data []byte) []byte { return data })
-	if err != nil {
-		t.Fatalf("sharded Rebuild: %v", err)
-	}
-	if stats.Shards != shards || stats.Keys != len(keys) {
-		t.Fatalf("stats: %+v, want %d shards, %d keys", stats, shards, len(keys))
-	}
-	for i := range keys {
-		tid, err := ix.LookupTID(keys[i])
-		if err != nil || tid != tids[i] {
-			t.Fatalf("key %d after rebuild: %v, %v", i, tid, err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := ix.LookupTID([]byte{0xFF, byte(i)}); !errors.Is(err, btree.ErrKeyNotFound) {
-			t.Fatalf("garbage key %d survived the rebuild: %v", i, err)
-		}
-	}
-	// Ownership: every shard must hold exactly the keys routed to it.
+// checkTrees runs the strict structure check on every tree of ix and
+// asserts each tree holds only the keys the router sends it.
+func checkTrees(t *testing.T, ix *Index) {
+	t.Helper()
 	for s, tr := range ix.trees {
 		err := tr.Scan(nil, nil, func(k, _ []byte) bool {
 			if got := ix.r.Pick(k); got != s {
-				t.Fatalf("key %q rebuilt into shard %d, routed to %d", k, s, got)
+				t.Fatalf("key %q in tree %d, routed to %d", k, s, got)
 			}
 			return true
 		})
@@ -244,8 +68,122 @@ func TestShardedRebuildParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := tr.Check(btree.CheckStrict); err != nil {
-			t.Fatalf("shard %d Check: %v", s, err)
+			t.Fatalf("tree %d Check: %v", s, err)
 		}
+	}
+}
+
+func TestIndexBulkLoad(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("trees=%d", n), func(t *testing.T) {
+			db, rel, ix := openAcct(t, n)
+			defer db.Close()
+			keys, tids := commitRun(t, db, rel, 5000)
+			var kv KVIndex = ix
+			if err := kv.BulkLoad(keys, tids); err != nil {
+				t.Fatalf("BulkLoad: %v", err)
+			}
+			for i := range keys {
+				tid, err := ix.LookupTID(keys[i])
+				if err != nil || tid != tids[i] {
+					t.Fatalf("key %d: tid %v, %v", i, tid, err)
+				}
+				data, err := ix.FetchVisible(rel, keys[i])
+				if err != nil || !bytes.Equal(data, keys[i]) {
+					t.Fatalf("key %d: fetch %q, %v", i, data, err)
+				}
+			}
+			// The scan must see every key in order across trees.
+			var got int
+			var last []byte
+			err := ix.Scan(nil, nil, func(k []byte, _ heap.TID) bool {
+				if last != nil && bytes.Compare(last, k) >= 0 {
+					t.Fatalf("scan out of order: %q then %q", last, k)
+				}
+				last = append(last[:0], k...)
+				got++
+				return true
+			})
+			if err != nil || got != len(keys) {
+				t.Fatalf("scan: %d keys, %v", got, err)
+			}
+			checkTrees(t, ix)
+			// Loading again must refuse: the index is no longer empty.
+			if err := kv.BulkLoad(keys, tids); !errors.Is(err, btree.ErrNotEmpty) {
+				t.Fatalf("second BulkLoad: %v, want ErrNotEmpty", err)
+			}
+		})
+	}
+}
+
+// Rebuild re-derives the index from the heap: dead versions and garbage
+// entries disappear, visible ones survive, every tree keeps exactly the
+// keys the router hashes to it, and the swap leaves structurally clean
+// trees. Over several trees one heap scan feeds them all in parallel.
+func TestIndexRebuildFromHeap(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("trees=%d", n), func(t *testing.T) {
+			db, rel, ix := openAcct(t, n)
+			defer db.Close()
+			keys, tids := commitRun(t, db, rel, 3000)
+			tx := db.Begin()
+			for i := range keys {
+				if err := ix.InsertTID(tx, keys[i], tids[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Garbage entries the rebuild must sweep away.
+			for i := 0; i < 50; i++ {
+				if err := ix.InsertTID(tx, []byte{0xFF, byte(i)}, tids[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			// Kill every third tuple; the index still carries its key.
+			tx = db.Begin()
+			for i := 0; i < len(keys); i += 3 {
+				if err := rel.Delete(tx, tids[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			var kv KVIndex = ix
+			stats, err := kv.Rebuild(rel, func(data []byte) []byte { return data })
+			if err != nil {
+				t.Fatalf("Rebuild: %v", err)
+			}
+			wantLive := 0
+			for i := range keys {
+				live := i%3 != 0
+				if live {
+					wantLive++
+				}
+				tid, err := ix.LookupTID(keys[i])
+				switch {
+				case live && (err != nil || tid != tids[i]):
+					t.Fatalf("live key %d lost: %v, %v", i, tid, err)
+				case !live && !errors.Is(err, btree.ErrKeyNotFound):
+					t.Fatalf("dead key %d resurrected: %v, %v", i, tid, err)
+				}
+			}
+			for i := 0; i < 50; i++ {
+				if _, err := ix.LookupTID([]byte{0xFF, byte(i)}); !errors.Is(err, btree.ErrKeyNotFound) {
+					t.Fatalf("garbage key %d survived the rebuild: %v", i, err)
+				}
+			}
+			if stats.Keys != wantLive {
+				t.Fatalf("stats.Keys = %d, want %d", stats.Keys, wantLive)
+			}
+			if stats.Shards != n || stats.Leaves == 0 || stats.Levels == 0 {
+				t.Fatalf("implausible stats: %+v", stats)
+			}
+			checkTrees(t, ix)
+		})
 	}
 }
 

@@ -30,7 +30,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,9 +71,6 @@ type Config struct {
 	Variant Variant
 	// PoolSize is the per-file buffer pool capacity in frames.
 	PoolSize int
-	// Shards is the default shard count CreateShardedIndex uses when its
-	// caller passes <= 0. Zero (or 1) means a single tree per index.
-	Shards int
 	// IndexOptions are passed through to every index.
 	IndexOptions btree.Options
 	// LoadFill is the leaf/internal fill factor for bulk loads and
@@ -114,24 +110,14 @@ func (db *DB) IOStats() buffer.IOStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var total buffer.IOStats
-	add := func(s buffer.IOStats) {
+	db.eachPool(func(_ string, p *buffer.Pool) {
+		s := p.IOStats()
 		total.Retries += s.Retries
 		total.ChecksumFailures += s.ChecksumFailures
 		total.TornPagesRepaired += s.TornPagesRepaired
 		total.RetriesExhausted += s.RetriesExhausted
 		total.Quarantined += s.Quarantined
-	}
-	for _, ix := range db.indexes {
-		add(ix.t.Pool().IOStats())
-	}
-	for _, six := range db.sharded {
-		for _, t := range six.trees {
-			add(t.Pool().IOStats())
-		}
-	}
-	for _, r := range db.rels {
-		add(r.h.Pool().IOStats())
-	}
+	})
 	return total
 }
 
@@ -150,29 +136,32 @@ func (db *DB) CacheStats() CacheStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := CacheStats{Partitions: make(map[string][]buffer.PartitionStat)}
-	add := func(name string, p *buffer.Pool) {
+	db.eachPool(func(file string, p *buffer.Pool) {
 		h, m := p.Stats()
 		out.Hits += h
 		out.Misses += m
-		out.Partitions[name] = p.PartitionStats()
-	}
-	for name, ix := range db.indexes {
-		add("idx_"+name, ix.t.Pool())
-	}
-	for name, six := range db.sharded {
-		for i, t := range six.trees {
-			add(shardFileName(name, i), t.Pool())
+		out.Partitions[file] = p.PartitionStats()
+	})
+	return out
+}
+
+// eachPool calls fn with every open buffer pool and its file name: index
+// trees, then relations. Called with db.mu held.
+func (db *DB) eachPool(fn func(file string, p *buffer.Pool)) {
+	for _, ix := range db.indexes {
+		for i, t := range ix.trees {
+			fn(ix.file(i), t.Pool())
 		}
 	}
 	for name, r := range db.rels {
-		add("rel_"+name, r.h.Pool())
+		fn("rel_"+name, r.h.Pool())
 	}
-	return out
 }
 
 // Storage decides where the DB's files live.
 type Storage interface {
 	open(name string) (storage.Disk, error)
+	exists(name string) bool
 }
 
 type memStorage struct {
@@ -189,6 +178,13 @@ func (m *memStorage) open(name string) (storage.Disk, error) {
 	d := storage.NewMemDisk()
 	m.disks[name] = d
 	return d, nil
+}
+
+func (m *memStorage) exists(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.disks[name]
+	return ok
 }
 
 // Memory returns in-memory storage whose files persist across DB reopens of
@@ -227,6 +223,13 @@ func (m *faultMemStorage) open(name string) (storage.Disk, error) {
 	return d, nil
 }
 
+func (m *faultMemStorage) exists(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.disks[name]
+	return ok
+}
+
 // FaultyMemory returns in-memory storage whose files sit behind a
 // fault-injecting disk layer — the substrate for degraded-mode and
 // supervisor experiments. Files persist across DB reopens of the same
@@ -254,6 +257,11 @@ func (d dirStorage) open(name string) (storage.Disk, error) {
 	return storage.OpenFileDisk(filepath.Join(d.dir, name+".pg"))
 }
 
+func (d dirStorage) exists(name string) bool {
+	_, err := os.Stat(filepath.Join(d.dir, name+".pg"))
+	return err == nil
+}
+
 // Dir returns file-backed storage rooted at dir.
 func Dir(dir string) Storage { return dirStorage{dir: dir} }
 
@@ -265,7 +273,6 @@ type DB struct {
 	mu      sync.Mutex
 	rels    map[string]*Relation
 	indexes map[string]*Index
-	sharded map[string]*ShardedIndex
 
 	// Health-state machine (health.go) and repair supervisor
 	// (supervisor.go).
@@ -293,7 +300,6 @@ func Open(store Storage, cfg Config) (*DB, error) {
 		mgr:         mgr,
 		rels:        make(map[string]*Relation),
 		indexes:     make(map[string]*Index),
-		sharded:     make(map[string]*ShardedIndex),
 		healSources: make(map[string]healSource),
 	}
 	if cfg.Supervisor.Enable {
@@ -324,45 +330,11 @@ func (db *DB) CreateRelation(name string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if db.cfg.Retry != (buffer.RetryPolicy{}) {
-		r.Pool().SetRetryPolicy(db.cfg.Retry)
-	}
 	r.Pool().SetObs(db.cfg.Obs)
-	db.attachHealth(r.Pool())
+	db.attachPool(r.Pool())
 	rel := &Relation{db: db, name: name, h: r}
 	db.rels[name] = rel
 	return rel, nil
-}
-
-// CreateIndex opens (creating if absent) an index of the given variant.
-func (db *DB) CreateIndex(name string, v Variant) (*Index, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if ix, ok := db.indexes[name]; ok {
-		return ix, nil
-	}
-	d, err := db.store.open("idx_" + name)
-	if err != nil {
-		return nil, err
-	}
-	opts := db.cfg.IndexOptions
-	if opts.PoolSize == 0 {
-		opts.PoolSize = db.cfg.PoolSize
-	}
-	if opts.Obs == nil {
-		opts.Obs = db.cfg.Obs
-	}
-	t, err := btree.Open(d, v, opts)
-	if err != nil {
-		return nil, err
-	}
-	if db.cfg.Retry != (buffer.RetryPolicy{}) {
-		t.Pool().SetRetryPolicy(db.cfg.Retry)
-	}
-	db.attachHealth(t.Pool())
-	ix := &Index{db: db, name: name, t: t}
-	db.indexes[name] = ix
-	return ix, nil
 }
 
 // Close cleanly shuts down every file (persisting freelists and counter
@@ -374,12 +346,7 @@ func (db *DB) Close() error {
 	defer db.mu.Unlock()
 	var firstErr error
 	for _, ix := range db.indexes {
-		if err := ix.t.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, six := range db.sharded {
-		for _, t := range six.trees {
+		for _, t := range ix.trees {
 			if err := t.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -464,114 +431,6 @@ func (r *Relation) FetchAsOf(tid heap.TID, asOf heap.XID) ([]byte, error) {
 	return r.h.FetchAsOf(tid, r.db.mgr, asOf)
 }
 
-// Index is a crash-recoverable B-link-tree index.
-type Index struct {
-	db   *DB
-	name string
-	t    *btree.Tree
-}
-
-// Name returns the index name.
-func (ix *Index) Name() string { return ix.name }
-
-// Tree exposes the underlying B-link tree (stats, checks, experiments).
-func (ix *Index) Tree() *btree.Tree { return ix.t }
-
-// InsertTID adds key -> tid within the transaction. Duplicate key values
-// must be made unique by the caller (POSTGRES appends the object ID, §2);
-// MakeUnique does that.
-func (ix *Index) InsertTID(t *Txn, key []byte, tid heap.TID) error {
-	if err := ix.db.writable(); err != nil {
-		return err
-	}
-	t.tx.Touch(ix.t)
-	return ix.t.Insert(key, tid.Bytes())
-}
-
-// InsertTIDBatch adds every key -> tid pair within the transaction through
-// the tree's batched insert path: one descent and one leaf latch per
-// same-leaf run instead of per key. Semantics match a loop over InsertTID
-// (duplicates must already be uniquified), except that on error a sorted
-// prefix of the batch may have been applied — acceptable inside a
-// transaction, whose commit/abort is what gives the batch its atomicity.
-func (ix *Index) InsertTIDBatch(t *Txn, keys [][]byte, tids []heap.TID) error {
-	if len(keys) != len(tids) {
-		return fmt.Errorf("core: batch of %d keys with %d tids", len(keys), len(tids))
-	}
-	if err := ix.db.writable(); err != nil {
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	t.tx.Touch(ix.t)
-	values := make([][]byte, len(tids))
-	for i := range tids {
-		values[i] = tids[i].Bytes()
-	}
-	return ix.t.InsertBatch(keys, values)
-}
-
-// LookupTID resolves a key to the TID it indexes. While degraded, a key
-// inside a quarantined range fails with an error unwrapping to
-// ErrQuarantined rather than a wrong answer.
-func (ix *Index) LookupTID(key []byte) (heap.TID, error) {
-	if err := ix.db.readable(); err != nil {
-		return heap.TID{}, err
-	}
-	v, err := ix.t.Lookup(key)
-	if err != nil {
-		return heap.TID{}, err
-	}
-	return heap.ParseTID(v)
-}
-
-// FetchVisible resolves key through the index and the relation, applying
-// tuple visibility: a key left behind by a dead transaction is detected and
-// ignored (§2), surfacing as ErrKeyNotFound.
-func (ix *Index) FetchVisible(rel *Relation, key []byte) ([]byte, error) {
-	tid, err := ix.LookupTID(key)
-	if err != nil {
-		return nil, err
-	}
-	data, err := rel.Fetch(tid)
-	if errors.Is(err, heap.ErrNoSuchTuple) {
-		return nil, fmt.Errorf("%w: %q (index key points at an invalid tuple)", ErrKeyNotFound, key)
-	}
-	return data, err
-}
-
-// Scan visits index entries in [start, end) in key order.
-func (ix *Index) Scan(start, end []byte, fn func(key []byte, tid heap.TID) bool) error {
-	if err := ix.db.readable(); err != nil {
-		return err
-	}
-	return ix.t.Scan(start, end, func(k, v []byte) bool {
-		tid, err := heap.ParseTID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, tid)
-	})
-}
-
-// ScanDegraded visits index entries in [start, end) like Scan, but steps
-// over quarantined subtrees instead of failing, reporting each skipped key
-// range: every entry it does emit is correct (skip-and-report, never
-// wrong-and-silent).
-func (ix *Index) ScanDegraded(start, end []byte, fn func(key []byte, tid heap.TID) bool) (btree.ScanReport, error) {
-	if err := ix.db.readable(); err != nil {
-		return btree.ScanReport{}, err
-	}
-	return ix.t.ScanDegraded(start, end, func(k, v []byte) bool {
-		tid, err := heap.ParseTID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, tid)
-	})
-}
-
 // MakeUnique turns a possibly-duplicated key value into a unique index key
 // by appending the tuple identifier, as POSTGRES does with <value,
 // object_id> keys (§2).
@@ -581,20 +440,32 @@ func MakeUnique(key []byte, tid heap.TID) []byte {
 	return append(out, tid.Bytes()...)
 }
 
-// VacuumIndex regenerates the index freelist (§3.3.3).
+// VacuumIndex regenerates the freelist of every tree of the index
+// (§3.3.3), summing the per-tree sweeps.
 func (db *DB) VacuumIndex(ix *Index) (vacuum.IndexStats, error) {
-	return vacuum.Index(ix.t)
+	var total vacuum.IndexStats
+	for _, t := range ix.trees {
+		st, err := vacuum.Index(t)
+		total.ScannedPages += st.ScannedPages
+		total.ReachablePages += st.ReachablePages
+		total.Reclaimed += st.Reclaimed
+		total.AlreadyFree += st.AlreadyFree
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // VacuumRelation reclaims dead tuple versions and removes the index keys
 // pointing at them. keyOf extracts the indexed key from tuple data.
 func (db *DB) VacuumRelation(rel *Relation, ix *Index, keyOf vacuum.KeyOf) (vacuum.HeapStats, error) {
 	oldest := db.mgr.HighestCommitted() + 1
-	var t *btree.Tree
+	var entries vacuum.Entries
 	if ix != nil {
-		t = ix.t
+		entries = ix.r
 	}
-	return vacuum.Heap(rel.h, db.mgr, oldest, t, keyOf)
+	return vacuum.Heap(rel.h, db.mgr, oldest, entries, keyOf)
 }
 
 // Relations lists the open relations, sorted by name.
@@ -604,18 +475,6 @@ func (db *DB) Relations() []*Relation {
 	out := make([]*Relation, 0, len(db.rels))
 	for _, r := range db.rels {
 		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// Indexes lists the open indexes, sorted by name.
-func (db *DB) Indexes() []*Index {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]*Index, 0, len(db.indexes))
-	for _, ix := range db.indexes {
-		out = append(out, ix)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out

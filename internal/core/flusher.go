@@ -34,7 +34,7 @@ func (db *DB) FlushAll() error {
 		syncers = append(syncers, r.h)
 	}
 	for _, ix := range db.indexes {
-		syncers = append(syncers, ix.t)
+		syncers = append(syncers, ix)
 	}
 	db.mu.Unlock()
 	var firstErr error

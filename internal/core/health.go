@@ -108,18 +108,8 @@ func (db *DB) computeHealth() HealthState {
 func (db *DB) pools() []*buffer.Pool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]*buffer.Pool, 0, len(db.indexes)+len(db.rels))
-	for _, ix := range db.indexes {
-		out = append(out, ix.t.Pool())
-	}
-	for _, six := range db.sharded {
-		for _, t := range six.trees {
-			out = append(out, t.Pool())
-		}
-	}
-	for _, r := range db.rels {
-		out = append(out, r.h.Pool())
-	}
+	var out []*buffer.Pool
+	db.eachPool(func(_ string, p *buffer.Pool) { out = append(out, p) })
 	return out
 }
 
@@ -142,10 +132,13 @@ func (db *DB) readable() error {
 	return nil
 }
 
-// attachHealth hooks a freshly opened pool into the health machinery:
-// registry changes mark the health dirty, and the supervisor's backoff
-// knobs are applied.
-func (db *DB) attachHealth(p *buffer.Pool) {
+// attachPool applies the DB's retry policy to a freshly opened pool and
+// hooks it into the health machinery: registry changes mark the health
+// dirty, and the supervisor's backoff knobs are applied.
+func (db *DB) attachPool(p *buffer.Pool) {
+	if db.cfg.Retry != (buffer.RetryPolicy{}) {
+		p.SetRetryPolicy(db.cfg.Retry)
+	}
 	q := p.Quarantine()
 	sc := db.cfg.Supervisor
 	if sc.BaseBackoff > 0 {
@@ -187,17 +180,7 @@ func (db *DB) HealthReport() HealthReport {
 		pool *buffer.Pool
 	}
 	var pools []named
-	for name, ix := range db.indexes {
-		pools = append(pools, named{"idx_" + name, ix.t.Pool()})
-	}
-	for name, six := range db.sharded {
-		for i, t := range six.trees {
-			pools = append(pools, named{shardFileName(name, i), t.Pool()})
-		}
-	}
-	for name, r := range db.rels {
-		pools = append(pools, named{"rel_" + name, r.h.Pool()})
-	}
+	db.eachPool(func(file string, p *buffer.Pool) { pools = append(pools, named{file, p}) })
 	db.mu.Unlock()
 	for _, np := range pools {
 		for _, e := range np.pool.Quarantine().List() {

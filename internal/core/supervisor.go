@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/btree"
@@ -72,18 +71,10 @@ type supervisor struct {
 // extracts the indexed key from tuple data (the same contract as the
 // vacuum). With a heal source registered, quarantined pages of ix whose
 // repair keeps failing are abandoned after SupervisorConfig.RebuildAfter
-// attempts and their key range re-inserted from the heap.
+// attempts and their key range re-inserted from the heap. On a multi-tree
+// index a rebuild of tree i re-inserts only the heap keys the router
+// hashes to tree i, so it never plants a key where lookups would miss it.
 func (db *DB) RegisterHeal(ix *Index, rel *Relation, keyOf vacuum.KeyOf) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.healSources[ix.name] = healSource{rel: rel, keyOf: keyOf}
-}
-
-// RegisterShardedHeal is RegisterHeal for a sharded index. Rebuilds stay
-// shard-correct: when shard i's page is abandoned, only heap keys that
-// hash to shard i are re-inserted, so a rebuild never plants a key in a
-// tree the router would not search.
-func (db *DB) RegisterShardedHeal(ix *ShardedIndex, rel *Relation, keyOf vacuum.KeyOf) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.healSources[ix.name] = healSource{rel: rel, keyOf: keyOf}
@@ -142,29 +133,18 @@ func (db *DB) SuperviseOnce() {
 	for _, r := range db.rels {
 		rels = append(rels, r)
 	}
-	sharded := make([]*ShardedIndex, 0, len(db.sharded))
-	for _, six := range db.sharded {
-		sharded = append(sharded, six)
-	}
 	db.mu.Unlock()
 
 	for _, ix := range indexes {
-		db.superviseIndex(ix, now)
+		// The trees of one index sweep in parallel goroutines: each owns
+		// its own quarantine registry, so concurrent heals share no state
+		// (the same independence that lets post-crash recovery
+		// parallelize).
+		_ = shard.Each(len(ix.trees), func(i int) error {
+			db.superviseTree(ix, i, now)
+			return nil
+		})
 	}
-	// Shard sweeps run in parallel goroutines: each shard owns its own
-	// quarantine registry and tree, so concurrent heals share no state
-	// (the same independence that lets post-crash recovery parallelize).
-	var wg sync.WaitGroup
-	for _, six := range sharded {
-		for i, t := range six.trees {
-			wg.Add(1)
-			go func(six *ShardedIndex, i int, t *btree.Tree) {
-				defer wg.Done()
-				db.superviseShard(six, i, t, now)
-			}(six, i, t)
-		}
-	}
-	wg.Wait()
 	for _, r := range rels {
 		db.superviseRelation(r, now)
 	}
@@ -174,31 +154,18 @@ func (db *DB) SuperviseOnce() {
 	db.Health()
 }
 
-// superviseIndex attempts one repair per due quarantined page of ix.
-func (db *DB) superviseIndex(ix *Index, now time.Time) {
-	db.superviseTree(ix.name, ix.t, nil, now)
-}
-
-// superviseShard is superviseIndex for one shard of a sharded index. The
-// heap-rebuild fallback gets a key filter restricting re-inserts to keys
-// the router hashes to this shard.
-func (db *DB) superviseShard(six *ShardedIndex, i int, t *btree.Tree, now time.Time) {
-	n := len(six.trees)
-	db.superviseTree(six.name, t, func(key []byte) bool {
-		return shard.PickN(key, n) == i
-	}, now)
-}
-
-// superviseTree attempts one repair per due quarantined page of t, the
-// shared sweep body for single-tree and sharded indexes. keyFilter, when
-// non-nil, restricts heap rebuilds to keys owned by this tree.
-func (db *DB) superviseTree(name string, t *btree.Tree, keyFilter func([]byte) bool, now time.Time) {
+// superviseTree attempts one repair per due quarantined page of tree i of
+// ix. The heap-rebuild fallback keeps to the keys the router sends to
+// tree i.
+func (db *DB) superviseTree(ix *Index, i int, now time.Time) {
+	t := ix.trees[i]
+	owned := func(key []byte) bool { return ix.r.Pick(key) == i }
 	q := t.Pool().Quarantine()
 	for _, e := range q.Due(now) {
 		var err error
 		rebuild := false
 		db.mu.Lock()
-		src, hasSrc := db.healSources[name]
+		src, hasSrc := db.healSources[ix.name]
 		db.mu.Unlock()
 		wholesale := false
 		if hasSrc && db.cfg.Supervisor.RebuildAfter > 0 &&
@@ -206,9 +173,9 @@ func (db *DB) superviseTree(name string, t *btree.Tree, keyFilter func([]byte) b
 			rebuild = true
 			if db.cfg.Supervisor.WholesaleRebuild {
 				wholesale = true
-				err = db.rebuildWholesale(t, src, keyFilter)
+				err = db.rebuildWholesale(t, src, owned)
 			} else {
-				err = db.rebuildFromHeap(t, src, keyFilter, e)
+				err = db.rebuildFromHeap(t, src, owned, e)
 			}
 		} else {
 			err = t.HealQuarantined(e.PageNo, e.Lo)
@@ -276,8 +243,8 @@ func (db *DB) superviseRelation(r *Relation, now time.Time) {
 // via the rebuild fallback) and re-inserts its key range from the heap
 // relation. Only tuple versions visible to current committed state are
 // re-indexed; keys already present elsewhere in the tree are skipped.
-// keyFilter, when non-nil, drops keys another shard owns.
-func (db *DB) rebuildFromHeap(t *btree.Tree, src healSource, keyFilter func([]byte) bool, e buffer.QuarantinedPage) error {
+// Keys that owned rejects belong to another tree and are dropped.
+func (db *DB) rebuildFromHeap(t *btree.Tree, src healSource, owned func([]byte) bool, e buffer.QuarantinedPage) error {
 	if err := t.AbandonQuarantined(e.PageNo, e.Lo); err != nil {
 		return err
 	}
@@ -287,10 +254,7 @@ func (db *DB) rebuildFromHeap(t *btree.Tree, src healSource, keyFilter func([]by
 			return true // dead or invisible version; the index must not resurrect it
 		}
 		key := src.keyOf(data)
-		if key == nil {
-			return true
-		}
-		if keyFilter != nil && !keyFilter(key) {
+		if key == nil || !owned(key) {
 			return true
 		}
 		if e.HasRange {

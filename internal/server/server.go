@@ -68,10 +68,9 @@ type Options struct {
 
 // Server serves the KV protocol over a core.DB.
 type Server struct {
-	db      *core.DB
-	rel     *core.Relation
-	idx     core.KVIndex
-	sharded *core.ShardedIndex // nil when the index is single-tree
+	db  *core.DB
+	rel *core.Relation
+	idx core.KVIndex
 
 	drainTimeout time.Duration
 
@@ -100,22 +99,9 @@ func New(db *core.DB, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		idx     core.KVIndex
-		sharded *core.ShardedIndex
-	)
-	if opts.Shards > 1 {
-		six, err := db.CreateShardedIndex(opts.Index, opts.Variant, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		idx, sharded = six, six
-	} else {
-		six, err := db.CreateIndex(opts.Index, opts.Variant)
-		if err != nil {
-			return nil, err
-		}
-		idx = six
+	idx, err := db.OpenIndex(opts.Index, opts.Variant, opts.Shards)
+	if err != nil {
+		return nil, err
 	}
 	if err := ensureLayout(db, idx); err != nil {
 		return nil, err
@@ -124,7 +110,6 @@ func New(db *core.DB, opts Options) (*Server, error) {
 		db:           db,
 		rel:          rel,
 		idx:          idx,
-		sharded:      sharded,
 		drainTimeout: opts.DrainTimeout,
 		conns:        make(map[net.Conn]struct{}),
 		quit:         make(chan struct{}),

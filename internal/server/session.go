@@ -348,9 +348,9 @@ func (ss *session) cmdStats() {
 		"batch_puts":          snap.Counters["batch.put"],
 		"batch_leaf_runs":     snap.Counters["batch.leafrun"],
 	}
-	if six := ss.srv.sharded; six != nil {
-		stats["shards"] = six.Shards()
-		stats["shard_stats"] = six.ShardStats()
+	if n := ss.srv.idx.Shards(); n > 1 {
+		stats["shards"] = n
+		stats["shard_stats"] = ss.srv.idx.ShardStats()
 	}
 	b, err := json.Marshal(stats)
 	if err != nil {

@@ -69,15 +69,12 @@ func (r *Router) Shard(i int) Tree { return r.shards[i] }
 // Pick maps a key to its owning shard: FNV-1a over the key bytes, mod N.
 // Hash (not range) partitioning spreads ascending-key insert storms — the
 // paper's worst case for split traffic — evenly over every shard's split
-// lock instead of hammering one.
+// lock instead of hammering one. A one-shard router skips the hash.
 func (r *Router) Pick(key []byte) int {
+	if len(r.shards) == 1 {
+		return 0
+	}
 	return int(fnv1a(key) % uint64(len(r.shards)))
-}
-
-// PickN is Pick for callers that know the shard count but hold no router
-// (the supervisor's heap-rebuild filter).
-func PickN(key []byte, n int) int {
-	return int(fnv1a(key) % uint64(n))
 }
 
 func fnv1a(key []byte) uint64 {
@@ -113,29 +110,27 @@ func (r *Router) Delete(key []byte) error {
 // own unordered §2 force), so nothing orders one shard's flush against
 // another's.
 func (r *Router) Sync() error {
-	if len(r.shards) == 1 {
-		return r.shards[0].Sync()
-	}
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, t := range r.shards {
-		wg.Add(1)
-		go func(i int, t Tree) {
-			defer wg.Done()
-			errs[i] = t.Sync()
-		}(i, t)
-	}
-	wg.Wait()
-	return firstError(errs)
+	return Each(len(r.shards), func(i int) error { return r.shards[i].Sync() })
 }
 
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// Each runs fn(i) for every i in [0, n), one goroutine per i, and joins
+// the errors. Shards share no state, so their work never needs ordering;
+// with n == 1 fn runs on the caller's goroutine.
+func Each(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
 	}
-	return nil
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // --- merged range scans ---------------------------------------------------
@@ -257,17 +252,7 @@ func (r *Router) mergeScan(start, end []byte, degraded bool, fn func(key, value 
 	}
 	// Initial refills run in parallel: each leg is an independent tree
 	// descent, typically I/O-bound on a cold pool.
-	errs := make([]error, len(cursors))
-	var wg sync.WaitGroup
-	for i, c := range cursors {
-		wg.Add(1)
-		go func(i int, c *cursor) {
-			defer wg.Done()
-			errs[i] = c.refill()
-		}(i, c)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	if err := Each(len(cursors), func(i int) error { return cursors[i].refill() }); err != nil {
 		return rep, err
 	}
 
@@ -324,28 +309,22 @@ func (r *Router) Recover(parallel bool, rec *obs.Recorder) (RecoveryStats, btree
 		PerShard: make([]time.Duration, len(r.shards)),
 	}
 	reps := make([]btree.ScanReport, len(r.shards))
-	errs := make([]error, len(r.shards))
 	start := time.Now()
-	heal := func(i int, t Tree) {
+	heal := func(i int) error {
 		s := time.Now()
-		reps[i], errs[i] = t.RecoverAvailable()
+		var err error
+		reps[i], err = r.shards[i].RecoverAvailable()
 		st.PerShard[i] = time.Since(s)
 		rec.Eventf(obs.ShardRecover, 0, "shard %d/%d recovered in %v (skipped %d ranges)",
 			i, len(r.shards), st.PerShard[i], len(reps[i].Skipped))
+		return err
 	}
+	var err error
 	if parallel {
-		var wg sync.WaitGroup
-		for i, t := range r.shards {
-			wg.Add(1)
-			go func(i int, t Tree) {
-				defer wg.Done()
-				heal(i, t)
-			}(i, t)
-		}
-		wg.Wait()
+		err = Each(len(r.shards), heal)
 	} else {
-		for i, t := range r.shards {
-			heal(i, t)
+		for i := range r.shards {
+			err = errors.Join(err, heal(i))
 		}
 	}
 	st.Wall = time.Since(start)
@@ -353,7 +332,7 @@ func (r *Router) Recover(parallel bool, rec *obs.Recorder) (RecoveryStats, btree
 	for _, rp := range reps {
 		merged.Skipped = append(merged.Skipped, rp.Skipped...)
 	}
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return st, merged, fmt.Errorf("shard: recovery sweep failed: %w", err)
 	}
 	return st, merged, nil
