@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild perfbench
+.PHONY: check fmt vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild perfbench loc
 
 check: fmt vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke perfbench
 
@@ -102,14 +102,15 @@ shard-smoke:
 	$(GO) test -race ./internal/txn -run TestBatchForce
 	$(GO) test -race ./internal/server -run TestServerSharded
 
-# The hot-path gate: the zero-allocation point-op assertions (a warm lookup
-# hit and a no-split insert must not touch the heap; a one-tree index scan
-# allocates no more than its tree's scan), batched inserts racing
+# The hot-path gate: the allocation assertions on every variant (a warm
+# lookup hit and a no-split insert must not touch the heap, a warm 3-key
+# scan stays within its bound, and a one-tree index scan allocates no more
+# than its tree's scan), batched inserts racing
 # point inserts under the race detector, the scan-resistant eviction tests
 # (including the exact legacy-clock fallback for tiny stripes), and the
 # batched MPUT verb end to end over TCP.
 hotpath-smoke:
-	$(GO) test ./internal/btree -run 'ZeroAllocs|TestInsertBatch|TestLookupInto'
+	$(GO) test ./internal/btree -run 'ZeroAllocs|TestScanAllocs|TestInsertBatch|TestLookupInto'
 	$(GO) test ./internal/core -run TestOneTreeScanAllocs
 	$(GO) test -race ./internal/btree -run TestInsertBatchConcurrent
 	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool|TestSetLegacy'
@@ -152,3 +153,8 @@ bench-rebuild:
 # core API change could break the benchmark while everything else passes.
 perfbench:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
+# The repo's size as the roadmap tracks it: non-test Go lines outside the
+# benchmark module and hidden directories.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.*' | xargs cat | wc -l

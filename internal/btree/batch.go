@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -47,110 +47,35 @@ func (t *Tree) InsertBatch(keys, values [][]byte) error {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return bytes.Compare(keys[order[a]], keys[order[b]]) < 0
-	})
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
 
-	for pos := 0; pos < len(order); {
-		applied, err := t.insertRunShared(keys, values, order, pos)
-		pos += applied
+	for len(order) > 0 {
+		t.mu.RLock()
+		applied, err := t.insertShared(keys, values, order, t.structVer.Load())
+		t.mu.RUnlock()
+		if applied > 0 {
+			order = order[applied:]
+			t.Stats.Inserts.Add(uint64(applied))
+			t.obs.CountN(obs.BatchPut, uint64(applied))
+			t.obs.Count(obs.BatchLeafRun)
+			if err == nil {
+				continue
+			}
+		}
 		if err != nil && !errors.Is(err, errRetryShared) && !errors.Is(err, errNeedsExclusive) &&
-			!errors.Is(err, errNeedsRepair) {
+			!errors.Is(err, errSplitNeeded) {
 			return err
 		}
-		if applied > 0 && err == nil {
-			continue
-		}
-		if pos >= len(order) {
+		if len(order) == 0 {
 			break
 		}
 		// The run could not start (or stalled before this key): push one
 		// key through the full insert path — splits, repairs, retries,
 		// root creation — then try to batch again from the next key.
-		if err := t.Insert(keys[order[pos]], values[order[pos]]); err != nil {
+		if err := t.Insert(keys[order[0]], values[order[0]]); err != nil {
 			return err
 		}
-		pos++
+		order = order[1:]
 	}
 	return nil
-}
-
-// insertRunShared applies a maximal run of sorted batch keys to the leaf
-// covering the first key, under a single shared-mode descent and one leaf
-// write latch. It returns how many keys were applied. A zero count with a
-// retry/exclusive sentinel means the run could not start; a non-nil error
-// after a positive count (duplicate key) reports a genuinely failed key —
-// everything before it is applied.
-func (t *Tree) insertRunShared(keys, values [][]byte, order []int, start int) (int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v := t.structVer.Load()
-	if v%2 != 0 {
-		return 0, errRetryShared
-	}
-	sc := getDescent()
-	defer putDescent(sc)
-	f, _, hi, empty, err := t.descendSharedLeaf(keys[order[start]], v, sc)
-	if err != nil {
-		return 0, err
-	}
-	if empty {
-		return 0, errNeedsExclusive // createRootLeaf initializes meta state
-	}
-	f.WLatch()
-	if !t.structStable(v) {
-		f.WUnlatch()
-		f.Unpin()
-		return 0, errRetryShared
-	}
-	p := f.Data
-	if t.needsPeerVerify(p) {
-		f.WUnlatch()
-		f.Unpin()
-		return 0, errNeedsExclusive
-	}
-	if p.PrevNKeys() != 0 {
-		if t.protected() && p.SyncToken() == t.counter.Current() {
-			// §3.4 reclaim case (1) needs a blocked sync; the single-key
-			// fallback runs it without a frame latch held.
-			f.WUnlatch()
-			f.Unpin()
-			return 0, errNeedsExclusive
-		}
-		reclaimBackups(p)
-		f.MarkDirty()
-		if t.protected() {
-			t.Stats.BackupReclaims.Add(1)
-			t.obs.Count(obs.BackupReclaim)
-		}
-	}
-	applied := 0
-	var runErr error
-	for i := start; i < len(order); i++ {
-		k, val := keys[order[i]], values[order[i]]
-		if i > start && hi != nil && bytes.Compare(k, hi) >= 0 {
-			break // next key belongs to a leaf further right
-		}
-		if !p.CanFit(leafItemLen(k, val)) {
-			break // leaf full: the fallback split path takes over
-		}
-		if ierr := insertLeaf(p, k, val); ierr != nil {
-			if errors.Is(ierr, ErrDuplicateKey) {
-				runErr = ierr
-			} else {
-				runErr = t.classify(v)
-			}
-			break
-		}
-		applied++
-	}
-	if applied > 0 {
-		f.MarkDirty()
-		t.Stats.Inserts.Add(uint64(applied))
-		t.obs.CountN(obs.BatchPut, uint64(applied))
-		t.obs.Count(obs.BatchLeafRun)
-	}
-	f.WUnlatch()
-	f.Unpin()
-	return applied, runErr
 }

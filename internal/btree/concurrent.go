@@ -1,11 +1,35 @@
 package btree
 
-// This file implements the shared-mode operation paths of the paper's §3.6
-// concurrency protocol. Lookups, scans, AND inserts all run under the
-// tree's shared lock; page access is ordered by per-frame latches
-// (Lehman-Yao "locks"), splits serialize on the split lock (splitMu), and
-// a structure-version seqlock tells readers when a split was in flight
-// during their descent.
+// This file is the spec of the paper's §3.6 descent and implements its
+// shared mode. Lookups, scans, AND inserts all run under the tree's shared
+// lock; page access is ordered by per-frame latches (Lehman-Yao "locks"),
+// splits serialize on the split lock (splitMu), and a structure-version
+// seqlock tells readers when a split was in flight during their descent.
+//
+// One descent, two modes. Every root-to-leaf walk in the package is one of
+// two functions, and both run the same page checks on every page they
+// reach:
+//
+//   - The page checks (below): rootLinkOK and childLinkOK are the §3.3.1
+//     link checks of a page against the meta page or its parent's range,
+//     peerLinkOK the §3.5.1 check of a right-peer hop, and pageSettled the
+//     §3.3.2 torn-line-table (lineTableTorn) and §3.4 pending-backup
+//     (backupsPending) checks. They only read the page.
+//   - The shared descent, descendShared, verifies and never repairs: a
+//     failed check becomes classify(v) — a retry when a split in flight
+//     explains it, otherwise errNeedsExclusive. It keeps only the leaf
+//     pinned, or, for the splitMu holder, the whole path.
+//   - The exclusive descent, descendPath (search.go), runs under the
+//     exclusive tree lock and repairs what fails: repairRoot/repairChild
+//     for a broken link, fixIntraPage for a torn line table,
+//     mergeBackupsInto/resolveBackups for pending backups. predecessorLeaf
+//     is the same descent choosing, at each level, the entry below the key.
+//
+// On top of the two descents sit one leaf update (insertShared, with
+// insertSplitShared when the leaf is full or needs the §3.4 case (1)
+// blocked sync), one right-peer hop (hopRight), one leaf reader (readLeaf),
+// and one range walk per mode (scanShared; walkLocked in scan.go, which
+// also serves degraded scans and recovery passes).
 //
 // Protocol summary:
 //
@@ -18,15 +42,17 @@ package btree
 //     structural change (split, root growth) is modified and back to even
 //     after the last — always under splitMu. A shared operation snapshots
 //     the version first; any *negative* result (key not found, a failed
-//     range check) is authoritative only if the version is still the same
+//     page check) is authoritative only if the version is still the same
 //     even value. Positive results need no validation: deletes are
 //     exclusive, so a found key was definitely present at some instant of
-//     the operation.
+//     the operation. Under splitMu the version is even and cannot move, so
+//     every failed check there is genuine.
 //   - When validation fails the operation retries; after maxSharedRetries
 //     (or on genuine damage: a failed check with a stable version) it
 //     falls back to the exclusive path, which owns repairs. Repairs stay
 //     exclusive exactly as the paper allows — recovery code may assume a
-//     quiescent tree.
+//     quiescent tree. A scan falls back at the cursor its shared walk
+//     reached, so no pair is emitted twice.
 //   - A lookup racing a split may land on a page whose keys just moved
 //     right; it chases trusted right-peer links (§3.5.1 token-checked, the
 //     B-link "move right" of Lehman-Yao) before giving up and retrying.
@@ -107,76 +133,117 @@ func (t *Tree) classify(v uint64) error {
 	return errRetryShared
 }
 
-// sharedPageOK runs the read-only versions of the descent-time checks on a
-// latched page: the §3.3.1 shape checks, the §3.3.2 intra-page duplicate
-// detection (without the FlagLineClean caching, which would mutate the
-// page), and the §3.4 pre-crash backup check. isRoot selects the root
-// validation (token vs. the meta page) instead of the parent range check.
-func (t *Tree) sharedPageOK(p page.Page, isRoot bool, rootTok uint64, level int, lo, hi []byte) bool {
-	if t.protected() && !t.opts.DisableRangeCheck {
-		t.Stats.RangeChecks.Add(1)
-		if isRoot {
-			if p.IsZeroed() || !p.Valid() || p.SyncToken() != rootTok {
-				return false
-			}
-		} else {
-			if level < 0 {
-				return false
-			}
-			ok, err := t.childConsistent(p, uint8(level), lo, hi)
-			if err != nil || !ok {
-				return false
-			}
-		}
-	} else if p.IsZeroed() || !p.Valid() {
-		// Even unprotected trees need shape validation in shared mode: a
-		// stale pointer can reach a freed or recycled page mid-split.
-		return false
+// The page checks. What a failed one means is up to the mode: see the
+// spec at the top of this file.
+
+// linkChecked reports whether this tree runs the §3.3.1 link checks.
+func (t *Tree) linkChecked() bool { return t.protected() && !t.opts.DisableRangeCheck }
+
+// rootLinkOK is the §3.3.1 check of the root: it must be an initialized
+// page carrying the sync token the meta page recorded for it.
+func (t *Tree) rootLinkOK(p page.Page, rootTok uint64) bool {
+	if !t.linkChecked() {
+		return true
 	}
-	if t.protected() && !p.HasFlag(page.FlagLineClean) && p.FindDuplicateSlot() >= 0 {
-		return false
-	}
-	if t.protected() && p.PrevNKeys() != 0 && p.SyncToken() < t.counter.LastCrash() {
-		// Pre-crash backup keys need resolution — a repair.
-		return false
-	}
-	return true
+	t.Stats.RangeChecks.Add(1)
+	return !p.IsZeroed() && p.Valid() && p.SyncToken() == rootTok
 }
 
-// descendSharedLeaf walks root-to-leaf holding one latch at a time and
-// returns the pinned (unlatched) leaf covering key with its range bounds.
-// The bounds are staged in sc and alias its buffers: they are valid until
-// the caller releases the scratch, and must be cloned to outlive it.
-// empty reports an empty tree. Validation failures are classified against
-// version v.
-func (t *Tree) descendSharedLeaf(key []byte, v uint64, sc *descentScratch) (leaf *buffer.Frame, lo, hi []byte, empty bool, err error) {
+// childLinkOK is the §3.3.1 inter-page check of a page reached from its
+// parent at the given level with the parent's range [lo, hi).
+func (t *Tree) childLinkOK(p page.Page, level uint8, lo, hi []byte) bool {
+	if !t.linkChecked() {
+		return true
+	}
+	t.Stats.RangeChecks.Add(1)
+	return childConsistent(p, level, lo, hi)
+}
+
+// peerLinkOK is the §3.5.1 check of a right-peer hop from leaf fromNo,
+// whose right-peer token was fromTok: a link is trusted only while the
+// tokens on its two ends agree, and only into a settled leaf.
+func (t *Tree) peerLinkOK(p page.Page, fromNo uint32, fromTok uint64) bool {
+	if !p.Valid() || p.Type() != page.TypeLeaf {
+		return false
+	}
+	if !(t.opts.DisablePeerCheck && t.protected()) &&
+		(p.LeftPeer() != fromNo || p.LeftPeerToken() != fromTok) {
+		return false
+	}
+	return t.pageSettled(p)
+}
+
+// pageSettled reports that neither an interrupted line-table update
+// (§3.3.2) nor pre-crash backup keys (§3.4) are pending on the page.
+func (t *Tree) pageSettled(p page.Page) bool {
+	return !t.lineTableTorn(p) && !t.backupsPending(p)
+}
+
+// lineTableTorn is the §3.3.2 intra-page check: an insert or delete
+// interrupted by the crash left two line-table slots naming one item. A
+// page whose line-clean flag is set was never snapshotted mid-update, so
+// the O(n) duplicate scan runs only on first use of a page.
+func (t *Tree) lineTableTorn(p page.Page) bool {
+	return t.protected() && !p.HasFlag(page.FlagLineClean) && p.FindDuplicateSlot() >= 0
+}
+
+// backupsPending is the §3.4 check: the page still carries backup keys
+// from a split made before the most recent crash, so its live key set may
+// be only half the story until the backups are resolved.
+func (t *Tree) backupsPending(p page.Page) bool {
+	return t.protected() && p.PrevNKeys() != 0 && p.SyncToken() < t.counter.LastCrash()
+}
+
+// descendShared is the one shared-mode descent. It walks root-to-leaf
+// holding one latch at a time, runs the page checks on every page, and
+// returns the pinned (unlatched) leaf covering key with its range bounds;
+// empty reports an empty tree. The bounds are staged in sc and alias its
+// buffers: they are valid until the caller releases the scratch, and must
+// be cloned to outlive it. A failed check is classified against version v;
+// an odd v (a split in flight) is an immediate retry.
+//
+// With path non-nil every page on the way stays pinned and is appended to
+// *path with cloned bounds and the entry index followed — the split lock
+// holder needs the parents to link the halves in. On an error the descent
+// releases the path itself and sets *path to nil.
+func (t *Tree) descendShared(key []byte, v uint64, sc *descentScratch, path *[]pathEntry) (leaf *buffer.Frame, lo, hi []byte, empty bool, err error) {
+	if v%2 != 0 {
+		return nil, nil, nil, false, errRetryShared
+	}
 	mf, err := t.pool.Get(0)
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
 	mf.RLatch()
 	m := metaPage{mf.Data}
-	rootNo, rootTok := m.root(), m.rootToken()
-	if rootNo == 0 {
-		mf.RUnlatch()
-		mf.Unpin()
-		return nil, nil, nil, true, nil
+	no, rootTok := m.root(), m.rootToken()
+	var f *buffer.Frame
+	if no != 0 {
+		f, err = t.pool.Get(no) // pin the child before releasing the parent's latch
 	}
-	f, gerr := t.pool.Get(rootNo) // pin the child before releasing the parent's latch
 	mf.RUnlatch()
 	mf.Unpin()
-	if gerr != nil {
-		return nil, nil, nil, false, gerr
+	if no == 0 || err != nil {
+		return nil, nil, nil, no == 0, err
 	}
-	isRoot := true
-	level := -1
+	if path != nil {
+		*path = append(*path, pathEntry{no: no, frame: f, idx: -1})
+	}
+	var level uint8
 	for depth := 0; depth < maxSharedDepth; depth++ {
 		f.RLatch()
 		p := f.Data
-		if !t.sharedPageOK(p, isRoot, rootTok, level, lo, hi) {
+		var linked bool
+		if depth == 0 {
+			linked = t.rootLinkOK(p, rootTok)
+		} else {
+			linked = t.childLinkOK(p, level, lo, hi)
+		}
+		// Shape is checked even where links are not: a stale pointer can
+		// reach a freed or recycled page mid-split.
+		if !linked || !p.Valid() || !t.pageSettled(p) {
 			f.RUnlatch()
-			f.Unpin()
-			return nil, nil, nil, false, t.classify(v)
+			break
 		}
 		if p.Type() == page.TypeLeaf {
 			f.RUnlatch()
@@ -184,65 +251,76 @@ func (t *Tree) descendSharedLeaf(key []byte, v uint64, sc *descentScratch) (leaf
 		}
 		if p.Type() != page.TypeInternal {
 			f.RUnlatch()
-			f.Unpin()
-			return nil, nil, nil, false, t.classify(v)
+			break
 		}
 		idx, serr := internalSearch(p, key)
 		if serr != nil || idx < 0 {
 			f.RUnlatch()
-			f.Unpin()
-			return nil, nil, nil, false, t.classify(v)
+			break
 		}
-		it, ierr := internalEntry(p, idx)
-		if ierr != nil {
+		it, cLo, cHi, serr := childLink(p, idx, lo, hi)
+		if serr != nil {
 			f.RUnlatch()
-			f.Unpin()
-			return nil, nil, nil, false, t.classify(v)
+			break
 		}
-		cLo, cHi, rerr := childRange(p, idx, lo, hi)
-		if rerr != nil {
-			f.RUnlatch()
-			f.Unpin()
-			return nil, nil, nil, false, t.classify(v)
-		}
-		// childRange returns slices into the latched page (or the bounds
+		// childLink returns slices into the latched page (or the bounds
 		// staged at the previous level): stage into the scratch's other
 		// buffer pair before the latch drops.
-		cLo, cHi = sc.stage(cLo, cHi)
-		level = int(p.Level()) - 1
-		child, gerr := t.pool.Get(it.child) // pin-before-unlatch
+		lo, hi = sc.stage(cLo, cHi)
+		level = p.Level() - 1
+		var child *buffer.Frame
+		child, err = t.pool.Get(it.child) // pin-before-unlatch
 		f.RUnlatch()
-		f.Unpin()
-		if gerr != nil {
-			return nil, nil, nil, false, gerr
+		if err != nil {
+			break
+		}
+		if path == nil {
+			f.Unpin()
+		} else {
+			(*path)[len(*path)-1].idx = idx
+			*path = append(*path, pathEntry{no: it.child, frame: child, lo: cloneBytes(lo), hi: cloneBytes(hi), idx: -1})
 		}
 		f = child
-		lo, hi = cLo, cHi
-		isRoot = false
 	}
-	f.Unpin()
-	return nil, nil, nil, false, t.classify(v)
+	// A check failed, the child could not be read, or the depth bound
+	// caught a cycle left by damage.
+	if path == nil {
+		f.Unpin()
+	} else {
+		releasePath(*path)
+		*path = nil
+	}
+	if err == nil {
+		err = t.classify(v)
+	}
+	return nil, nil, nil, false, err
 }
 
-// trustedPeerHopOK validates, on the latched target page, a right-peer
-// link followed from page fromNo whose right-peer token was fromTok
-// (§3.5.1: a link is trusted only while the tokens on its two ends agree).
-func (t *Tree) trustedPeerHopOK(p page.Page, fromNo uint32, fromTok uint64) bool {
-	if !p.Valid() || p.Type() != page.TypeLeaf {
-		return false
+// hopRight follows the right-peer link (rp, rtok) out of leaf fromNo and
+// returns the pinned target when the link is trusted (peerLinkOK). A nil
+// frame means the link is in doubt — missing, quarantined, or failing the
+// check — and the caller goes back to a root-to-leaf descent, which has the
+// range context to repair or report what it finds.
+func (t *Tree) hopRight(fromNo, rp uint32, rtok uint64) (*buffer.Frame, error) {
+	if rp == 0 {
+		return nil, nil
 	}
-	if !(t.opts.DisablePeerCheck && t.protected()) {
-		if p.LeftPeer() != fromNo || p.LeftPeerToken() != fromTok {
-			return false
+	f, err := t.pool.Get(rp)
+	if err != nil {
+		if errors.Is(err, buffer.ErrQuarantined) {
+			return nil, nil
 		}
+		return nil, err
 	}
-	if t.protected() && p.PrevNKeys() != 0 && p.SyncToken() < t.counter.LastCrash() {
-		return false
+	f.RLatch()
+	ok := t.peerLinkOK(f.Data, fromNo, rtok)
+	f.RUnlatch()
+	if !ok {
+		f.Unpin()
+		return nil, nil
 	}
-	if t.protected() && !p.HasFlag(page.FlagLineClean) && p.FindDuplicateSlot() >= 0 {
-		return false
-	}
-	return true
+	t.obs.Count(obs.ChaseHop)
+	return f, nil
 }
 
 // lookupShared is the shared-mode lookup body: one latched descent, a
@@ -253,7 +331,7 @@ func (t *Tree) trustedPeerHopOK(p page.Page, fromNo uint32, fromTok uint64) bool
 func (t *Tree) lookupShared(key, dst []byte, v uint64) ([]byte, error) {
 	sc := getDescent()
 	defer putDescent(sc)
-	f, _, _, empty, err := t.descendSharedLeaf(key, v, sc)
+	f, _, _, empty, err := t.descendShared(key, v, sc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +341,6 @@ func (t *Tree) lookupShared(key, dst []byte, v uint64) ([]byte, error) {
 		}
 		return nil, errRetryShared
 	}
-	curNo := f.PageNo()
 	for hop := 0; ; hop++ {
 		f.RLatch()
 		p := f.Data
@@ -299,79 +376,74 @@ func (t *Tree) lookupShared(key, dst []byte, v uint64) ([]byte, error) {
 			return nil, errRetryShared
 		}
 		rp, rtok := p.RightPeer(), p.RightPeerToken()
-		if rp == 0 {
-			f.RUnlatch()
-			f.Unpin()
-			return nil, errRetryShared
-		}
-		nf, gerr := t.pool.Get(rp) // pin-before-unlatch
 		f.RUnlatch()
+		next, herr := t.hopRight(f.PageNo(), rp, rtok)
 		f.Unpin()
-		if gerr != nil {
-			return nil, gerr
+		if herr != nil {
+			return nil, herr
 		}
-		nf.RLatch()
-		ok := t.trustedPeerHopOK(nf.Data, curNo, rtok)
-		nf.RUnlatch()
-		if !ok {
-			nf.Unpin()
+		if next == nil {
 			return nil, errRetryShared
 		}
-		t.obs.Count(obs.ChaseHop)
-		curNo, f = rp, nf
+		f = next
 	}
 }
 
-// insertShared is the shared-mode insert fast path: latched descent, then
-// the whole leaf update under the leaf's write latch. Structural work
-// (splits) and anything touching repair or blocked syncs is delegated.
-func (t *Tree) insertShared(key, value []byte, v uint64) error {
+// errSplitNeeded reports that the leaf cannot take the first key of an
+// insert run as it stands: it is full, or its backup keys need the §3.4
+// case (1) blocked sync, which must not run under a frame latch.
+// insertSplitShared handles both.
+var errSplitNeeded = errors.New("btree: leaf needs a split or a blocked sync")
+
+// insertShared is the one shared-mode leaf update: a latched descent to
+// the leaf covering the first key, then — under that leaf's write latch —
+// every leading key that belongs to the leaf and fits in it. The keys are
+// keys[order[0]], keys[order[1]], ... in ascending order, each with the
+// value at the same index; Insert passes one, InsertBatch the rest of its
+// sorted batch. It returns how many leading keys were applied. A zero
+// count with a sentinel means the update could not start; a duplicate key
+// ends the run with ErrDuplicateKey after the keys before it. Counting the
+// applied keys is the caller's job.
+func (t *Tree) insertShared(keys, values [][]byte, order []int, v uint64) (int, error) {
+	first := keys[order[0]]
 	sc := getDescent()
 	defer putDescent(sc)
-	f, _, _, empty, err := t.descendSharedLeaf(key, v, sc)
+	f, _, hi, empty, err := t.descendShared(first, v, sc, nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if empty {
-		return errNeedsExclusive // createRootLeaf initializes meta state
+		return 0, errNeedsExclusive // createRootLeaf initializes meta state
 	}
 	f.WLatch()
+	defer f.Unpin()
+	defer f.WUnlatch()
 	if !t.structStable(v) {
 		// The leaf's identity came from a descent the structure has since
 		// outrun; re-descend rather than reason about stale bounds.
-		f.WUnlatch()
-		f.Unpin()
-		return errRetryShared
+		return 0, errRetryShared
 	}
 	// From here the leaf cannot change under us: leaf inserts need this
 	// write latch, splits latch the leaf before reading it, and deletes
 	// are exclusive.
 	p := f.Data
 	if t.needsPeerVerify(p) {
-		f.WUnlatch()
-		f.Unpin()
-		return errNeedsExclusive // §3.5.1 verification repairs peer links
-	}
-	if _, found, serr := leafSearch(p, key); serr != nil {
-		f.WUnlatch()
-		f.Unpin()
-		return t.classify(v)
-	} else if found {
-		f.WUnlatch()
-		f.Unpin()
-		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
+		return 0, errNeedsExclusive // §3.5.1 verification repairs peer links
 	}
 	if p.PrevNKeys() != 0 {
+		// Reclaiming backups is an update: answer a duplicate first.
+		if _, found, serr := leafSearch(p, first); serr != nil {
+			return 0, t.classify(v)
+		} else if found {
+			return 0, fmt.Errorf("%w: %q", ErrDuplicateKey, first)
+		}
 		if t.protected() && p.SyncToken() == t.counter.Current() {
-			// §3.4 reclaim case (1): the page needs a blocked sync, which
-			// must not run while a frame latch is held. insertSplitShared
-			// runs the sync under splitMu with the tree lock still shared,
-			// so inserts and lookups on other leaves keep flowing — going
-			// exclusive here would convoy every shared op behind a full
-			// pool flush each time a freshly split leaf is touched again.
-			f.WUnlatch()
-			f.Unpin()
-			return t.insertSplitShared(key, value)
+			// §3.4 reclaim case (1). insertSplitShared runs the blocked
+			// sync under splitMu with the tree lock still shared, so
+			// operations on other leaves keep flowing — going exclusive
+			// here would convoy every shared op behind a full pool flush
+			// each time a freshly split leaf is touched again.
+			return 0, errSplitNeeded
 		}
 		reclaimBackups(p)
 		f.MarkDirty()
@@ -380,120 +452,56 @@ func (t *Tree) insertShared(key, value []byte, v uint64) error {
 			t.obs.Count(obs.BackupReclaim)
 		}
 	}
-	if p.CanFit(leafItemLen(key, value)) {
-		if ierr := insertLeaf(p, key, value); ierr != nil {
-			f.WUnlatch()
-			f.Unpin()
-			return t.classify(v)
+	applied := 0
+	for _, i := range order {
+		k, val := keys[i], values[i]
+		if applied > 0 && hi != nil && bytes.Compare(k, hi) >= 0 {
+			break // the next key belongs to a leaf further right
 		}
+		if !p.CanFit(leafItemLen(k, val)) {
+			break
+		}
+		if err = insertLeaf(p, k, val); err != nil {
+			if !errors.Is(err, ErrDuplicateKey) {
+				err = t.classify(v)
+			}
+			break
+		}
+		applied++
+	}
+	if applied > 0 {
 		f.MarkDirty()
-		f.WUnlatch()
-		f.Unpin()
-		return nil
+	} else if err == nil {
+		err = errSplitNeeded
 	}
-	f.WUnlatch()
-	f.Unpin()
-	return t.insertSplitShared(key, value)
+	return applied, err
 }
 
-// descendSharedPath is the full-path variant of descendSharedLeaf, used
-// under splitMu where the caller needs parent frames and indices for the
-// split. With splitMu held no structural change is in flight, so any
-// validation failure is genuine damage. A nil path means an empty tree.
-func (t *Tree) descendSharedPath(key []byte) ([]pathEntry, error) {
-	mf, err := t.pool.Get(0)
-	if err != nil {
-		return nil, err
-	}
-	mf.RLatch()
-	m := metaPage{mf.Data}
-	rootNo, rootTok := m.root(), m.rootToken()
-	if rootNo == 0 {
-		mf.RUnlatch()
-		mf.Unpin()
-		return nil, nil
-	}
-	rf, gerr := t.pool.Get(rootNo)
-	mf.RUnlatch()
-	mf.Unpin()
-	if gerr != nil {
-		return nil, gerr
-	}
-	path := append(newPath(), pathEntry{no: rootNo, frame: rf, idx: -1})
-	isRoot := true
-	level := -1
-	for depth := 0; depth < maxSharedDepth; depth++ {
-		cur := &path[len(path)-1]
-		cur.frame.RLatch()
-		p := cur.frame.Data
-		if !t.sharedPageOK(p, isRoot, rootTok, level, cur.lo, cur.hi) {
-			cur.frame.RUnlatch()
-			releasePath(path)
-			return nil, errNeedsExclusive
-		}
-		if p.Type() == page.TypeLeaf {
-			cur.frame.RUnlatch()
-			return path, nil
-		}
-		if p.Type() != page.TypeInternal {
-			cur.frame.RUnlatch()
-			releasePath(path)
-			return nil, errNeedsExclusive
-		}
-		idx, serr := internalSearch(p, key)
-		if serr != nil || idx < 0 {
-			cur.frame.RUnlatch()
-			releasePath(path)
-			return nil, errNeedsExclusive
-		}
-		it, ierr := internalEntry(p, idx)
-		if ierr != nil {
-			cur.frame.RUnlatch()
-			releasePath(path)
-			return nil, errNeedsExclusive
-		}
-		cLo, cHi, rerr := childRange(p, idx, cur.lo, cur.hi)
-		if rerr != nil {
-			cur.frame.RUnlatch()
-			releasePath(path)
-			return nil, errNeedsExclusive
-		}
-		cLo, cHi = cloneBytes(cLo), cloneBytes(cHi)
-		level = int(p.Level()) - 1
-		cur.idx = idx
-		child, cerr := t.pool.Get(it.child) // pin-before-unlatch
-		cur.frame.RUnlatch()
-		if cerr != nil {
-			releasePath(path)
-			return nil, cerr
-		}
-		path = append(path, pathEntry{no: it.child, frame: child, lo: cLo, hi: cHi, idx: -1})
-		isRoot = false
-	}
-	releasePath(path)
-	return nil, errNeedsExclusive
-}
-
-// insertSplitShared performs a shared-mode insert whose leaf is full: it
-// takes the split lock, re-descends (pinning the whole path), re-validates
-// the leaf under its write latch, and runs the split with the structure
-// version held odd so concurrent negative results are retried.
+// insertSplitShared performs a shared-mode insert whose leaf is full (or
+// needs the §3.4 case (1) blocked sync): it takes the split lock,
+// re-descends keeping the whole path pinned, re-validates the leaf under
+// its write latch, and runs the split with the structure version held odd
+// so concurrent negative results are retried.
 func (t *Tree) insertSplitShared(key, value []byte) error {
 	t.splitMu.Lock()
 	defer t.splitMu.Unlock()
 
-	path, err := t.descendSharedPath(key)
+	// Under splitMu no split is in flight, so the version is even and
+	// stable: a failed check classifies as errNeedsExclusive.
+	sc := getDescent()
+	defer putDescent(sc)
+	path := newPath()
+	_, _, _, empty, err := t.descendShared(key, t.structVer.Load(), sc, &path)
+	defer releasePath(path)
 	if err != nil {
 		return err
 	}
-	if path == nil {
+	if empty {
 		return errNeedsExclusive
 	}
-	defer releasePath(path)
 	leafDepth := len(path) - 1
 	leaf := &path[leafDepth]
 	lf := leaf.frame
-
 	lf.WLatch()
 	if t.needsPeerVerify(lf.Data) {
 		lf.WUnlatch()
@@ -587,8 +595,8 @@ func (t *Tree) insertSplitShared(key, value []byte) error {
 // scanShared is the shared-mode scan body: each leaf's pairs are collected
 // under its latch, validated against the structure version, and only then
 // emitted — so fn never sees data from a half-split state. It returns the
-// cursor at which an exclusive-mode scan should resume when err is one of
-// the fallback sentinels.
+// cursor at which the exclusive walk should resume when err is one of the
+// fallback sentinels.
 func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([]byte, error) {
 	cur := start
 	if cur == nil {
@@ -596,26 +604,9 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 	}
 	type pair struct{ k, v []byte }
 	var buf []pair
-
-	// collect gathers this latched leaf's pairs in [cur, end); done means
-	// the end bound was reached.
-	collect := func(p page.Page) (done bool, last []byte, err error) {
-		pos, _, err := leafSearch(p, cur)
-		if err != nil {
-			return false, nil, err
-		}
-		for ; pos < p.NKeys(); pos++ {
-			k, v, err := decodeLeafItem(p.Item(pos))
-			if err != nil {
-				return false, nil, err
-			}
-			if end != nil && bytes.Compare(k, end) >= 0 {
-				return true, last, nil
-			}
-			last = cloneBytes(k)
-			buf = append(buf, pair{k: last, v: cloneBytes(v)})
-		}
-		return false, last, nil
+	stash := func(k, v []byte) bool {
+		buf = append(buf, pair{k: cloneBytes(k), v: cloneBytes(v)})
+		return true
 	}
 
 	retries := 0
@@ -631,18 +622,18 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 
 	for {
 		v := t.structVer.Load()
-		if v%2 != 0 {
-			if rerr := retry(); rerr != nil {
-				return cur, rerr
-			}
-			continue
-		}
 		sc := getDescent()
-		leaf, _, hi, empty, err := t.descendSharedLeaf(cur, v, sc)
+		leaf, _, hi, empty, err := t.descendShared(cur, v, sc, nil)
 		// The cursor advance below persists hi past this iteration's
 		// descent, so detach it from the scratch before recycling.
 		hi = cloneBytes(hi)
 		putDescent(sc)
+		if err == nil && empty {
+			if t.structStable(v) {
+				return cur, nil
+			}
+			err = errRetryShared
+		}
 		if errors.Is(err, errRetryShared) {
 			if rerr := retry(); rerr != nil {
 				return cur, rerr
@@ -652,26 +643,15 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 		if err != nil {
 			return cur, err
 		}
-		if empty {
-			if t.structStable(v) {
-				return cur, nil
-			}
-			if rerr := retry(); rerr != nil {
-				return cur, rerr
-			}
-			continue
-		}
 
-		frame, curNo := leaf, leaf.PageNo()
-		fromDescent := true
-		redescend := false
-		for !redescend {
+		frame := leaf
+		for fromDescent := true; ; fromDescent = false {
 			frame.RLatch()
 			buf = buf[:0]
-			done, last, cerr := collect(frame.Data)
+			done, _, rerr := readLeaf(frame.Data, cur, end, stash)
 			rp, rtok := frame.Data.RightPeer(), frame.Data.RightPeerToken()
 			frame.RUnlatch()
-			if cerr != nil || !t.structStable(v) {
+			if rerr != nil || !t.structStable(v) {
 				// Discard unvalidated pairs and re-descend at cur.
 				frame.Unpin()
 				if rerr := retry(); rerr != nil {
@@ -690,8 +670,8 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 				frame.Unpin()
 				return cur, nil
 			}
-			if last != nil {
-				cur = keySuccessor(last)
+			if len(buf) > 0 {
+				cur = keySuccessor(buf[len(buf)-1].k)
 			}
 			if fromDescent {
 				// The descent's upper bound is authoritative: the
@@ -703,35 +683,22 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 					return cur, nil
 				}
 				cur = maxKeyBytes(cur, hi)
-				fromDescent = false
-			} else if last == nil {
+			} else if len(buf) == 0 {
 				// A peer hop that yields nothing is suspicious (an
 				// emptied or stale leaf): let the root path decide
 				// where the scan really stands.
 				frame.Unpin()
-				redescend = true
 				break
 			}
-			if rp == 0 {
-				frame.Unpin()
-				redescend = true
-				break
-			}
-			next, gerr := t.pool.Get(rp)
+			next, herr := t.hopRight(frame.PageNo(), rp, rtok)
 			frame.Unpin()
-			if gerr != nil {
-				return cur, gerr
+			if herr != nil {
+				return cur, herr
 			}
-			next.RLatch()
-			ok := t.trustedPeerHopOK(next.Data, curNo, rtok)
-			next.RUnlatch()
-			if !ok {
-				next.Unpin()
-				redescend = true
+			if next == nil {
 				break
 			}
-			t.obs.Count(obs.ChaseHop)
-			frame, curNo = next, rp
+			frame = next
 		}
 	}
 }

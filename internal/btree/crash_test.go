@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -202,6 +203,64 @@ func TestRootSplitCrashAllSubsets(t *testing.T) {
 					t.Fatal(err)
 				}
 				verifyRecovered(t, d, v, nPre, fmt.Sprintf("mask %0*b", n, mask))
+			}
+		})
+	}
+}
+
+// TestScanHandoffMidScan makes a full Scan the first operation after a
+// leaf-split crash, over every durable subset. The shared scan meets the
+// damage partway through and hands off to the exclusive walk, which resumes
+// at the shared scan's cursor: every committed key must still come out
+// exactly once, in order. For Shadow and Hybrid some subsets must hand off
+// after the shared scan already emitted keys — the case the resume cursor
+// exists for, which the Lookup-first crash tests never reach.
+func TestScanHandoffMidScan(t *testing.T) {
+	for _, v := range protectedVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			nPre := findSplitTrigger(t, v, 600)
+			trigger := []int{nPre}
+			n := len(crashScenario(t, v, nPre, trigger).PendingPages())
+			midScan := 0
+			for mask := uint64(0); mask < uint64(1)<<n; mask++ {
+				label := fmt.Sprintf("mask %0*b", n, mask)
+				d := crashScenario(t, v, nPre, trigger)
+				if err := d.CrashPartial(storage.CrashSubsetMask(mask)); err != nil {
+					t.Fatal(err)
+				}
+				rec := obs.New(obs.DefaultRingCap)
+				tr, err := Open(d, v, Options{Obs: rec})
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", label, err)
+				}
+				prev, committed, beforeFallback := -1, 0, 0
+				err = tr.Scan(nil, nil, func(k, _ []byte) bool {
+					kk := int(binary.BigEndian.Uint32(k))
+					if kk <= prev {
+						t.Fatalf("%s: scan emitted %d after %d", label, kk, prev)
+					}
+					prev = kk
+					if kk < nPre {
+						committed++
+					}
+					if rec.Get(obs.ExclusiveFallback) == 0 {
+						beforeFallback++
+					}
+					return true
+				})
+				if err != nil {
+					t.Fatalf("%s: scan: %v", label, err)
+				}
+				if committed != nPre {
+					t.Fatalf("%s: scan emitted %d of %d committed keys", label, committed, nPre)
+				}
+				if rec.Get(obs.ExclusiveFallback) > 0 && beforeFallback > 0 {
+					midScan++
+				}
+			}
+			t.Logf("%d of %d subsets handed off mid-scan", midScan, uint64(1)<<n)
+			if v != Reorg && midScan == 0 {
+				t.Fatal("no subset handed the scan to the exclusive walk after a shared emit")
 			}
 		})
 	}

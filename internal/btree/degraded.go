@@ -1,13 +1,11 @@
 package btree
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
 	"repro/internal/buffer"
 	"repro/internal/obs"
-	"repro/internal/page"
 )
 
 // Degraded mode: when §3.3/§3.4 repair concludes a page has no durable
@@ -96,41 +94,7 @@ func (t *Tree) ScanDegraded(start, end []byte, fn func(key, value []byte) bool) 
 	t.Stats.Scans.Add(1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var rep ScanReport
-	cur := start
-	if cur == nil {
-		cur = []byte{}
-	}
-	for {
-		err := t.scanLocked(cur, end, true, fn)
-		if err == nil {
-			return rep, nil
-		}
-		var qe *QuarantinedRangeError
-		if !errors.As(err, &qe) {
-			return rep, err
-		}
-		rep.Skipped = append(rep.Skipped, SkippedRange{
-			PageNo: qe.PageNo, Lo: qe.Lo, Hi: qe.Hi, Reason: qe.Reason,
-		})
-		t.obs.Eventf(obs.ScanSkip, qe.PageNo, "scan skipped quarantined range")
-		if qe.Hi == nil {
-			// Unbounded above: nothing past the quarantined subtree is
-			// reachable from here.
-			return rep, nil
-		}
-		// Resume past the quarantined interval. The failing descent was
-		// headed for a key inside [qe.Lo, qe.Hi), so qe.Hi strictly
-		// advances the cursor; guard anyway so a registry inconsistency
-		// cannot livelock the scan.
-		if bytes.Compare(qe.Hi, cur) <= 0 {
-			return rep, fmt.Errorf("%w: quarantined range did not advance the scan cursor", ErrUnrecoverable)
-		}
-		cur = qe.Hi
-		if end != nil && bytes.Compare(cur, end) >= 0 {
-			return rep, nil
-		}
-	}
+	return t.walkLocked(start, end, true, fn)
 }
 
 // CountDegraded counts the reachable keys, reporting skipped ranges.
@@ -143,55 +107,14 @@ func (t *Tree) CountDegraded() (int, ScanReport, error) {
 	return n, rep, err
 }
 
-// RecoverAvailable walks every reachable leaf range like RecoverAll,
-// triggering every pending repair, but steps over quarantined subtrees and
-// reports them instead of failing on the first one. Used by the scrub tool
-// to distinguish "repaired" from "unrecoverable".
+// RecoverAvailable walks every reachable leaf range through root-to-leaf
+// descents, triggering every pending repair, but steps over quarantined
+// subtrees and reports them instead of failing on the first one. Used by
+// the scrub tool to distinguish "repaired" from "unrecoverable".
 func (t *Tree) RecoverAvailable() (ScanReport, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var rep ScanReport
-	cur := []byte{}
-	for {
-		path, err := t.descendPath(cur, true)
-		if err != nil {
-			var qe *QuarantinedRangeError
-			if !errors.As(err, &qe) {
-				return rep, err
-			}
-			rep.Skipped = append(rep.Skipped, SkippedRange{
-				PageNo: qe.PageNo, Lo: qe.Lo, Hi: qe.Hi, Reason: qe.Reason,
-			})
-			t.obs.Eventf(obs.ScanSkip, qe.PageNo, "recovery pass skipped quarantined range")
-			if qe.Hi == nil || bytes.Compare(qe.Hi, cur) <= 0 {
-				return rep, nil
-			}
-			cur = qe.Hi
-			continue
-		}
-		if path == nil {
-			return rep, nil
-		}
-		leaf := path[len(path)-1]
-		if t.protected() && (!leaf.frame.Data.HasFlag(page.FlagPeerVerified) ||
-			leaf.frame.Data.HasFlag(page.FlagPeerSuspect)) {
-			if err := t.verifyPeerPath(&leaf); err != nil {
-				if !errors.Is(err, buffer.ErrQuarantined) {
-					releasePath(path)
-					return rep, err
-				}
-				// The peer chain runs into quarantined territory; the
-				// ranges themselves are already reported (or will be
-				// when descended), so just keep walking by range.
-			}
-		}
-		hi := cloneBytes(leaf.hi)
-		releasePath(path)
-		if hi == nil {
-			return rep, nil
-		}
-		cur = hi
-	}
+	return t.walkLocked(nil, nil, true, nil)
 }
 
 // HealQuarantined attempts to bring quarantined page no back into service:
@@ -202,27 +125,7 @@ func (t *Tree) RecoverAvailable() (ScanReport, error) {
 // quarantine and the error is returned. Called by the repair supervisor off
 // the caller's latency path.
 func (t *Tree) HealQuarantined(no uint32, lo []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.pool.ReleaseQuarantine(no) {
-		return nil // already released (healed or superseded elsewhere)
-	}
-	key := lo
-	if len(key) == 0 {
-		key = []byte{}
-	}
-	path, err := t.descendPath(key, true)
-	if err != nil {
-		return err
-	}
-	releasePath(path)
-	if err := t.syncLocked(); err != nil {
-		return err
-	}
-	if t.pool.Quarantine().IsQuarantined(no) {
-		return &QuarantinedRangeError{PageNo: no, Reason: "repair failed again"}
-	}
-	return nil
+	return t.retryQuarantined(no, lo, false, "repair failed again")
 }
 
 // AbandonQuarantined gives up on recovering quarantined page no from index
@@ -233,18 +136,23 @@ func (t *Tree) HealQuarantined(no uint32, lo []byte) error {
 // expected to re-insert them from the heap relation, which remains the
 // authoritative copy.
 func (t *Tree) AbandonQuarantined(no uint32, lo []byte) error {
+	return t.retryQuarantined(no, lo, true, "rebuild fallback failed")
+}
+
+// retryQuarantined is the body of HealQuarantined and AbandonQuarantined:
+// release page no, re-run the repair by descending into lo (with the
+// rebuild fallback armed when rebuild is set), make the result durable,
+// and report failure as a QuarantinedRangeError if the page is back in
+// quarantine.
+func (t *Tree) retryQuarantined(no uint32, lo []byte, rebuild bool, failure string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.pool.ReleaseQuarantine(no) {
-		return nil
+		return nil // already released (healed or superseded elsewhere)
 	}
-	t.rebuildFallback = true
+	t.rebuildFallback = rebuild
 	defer func() { t.rebuildFallback = false }()
-	key := lo
-	if len(key) == 0 {
-		key = []byte{}
-	}
-	path, err := t.descendPath(key, true)
+	path, err := t.descendPath(lo)
 	if err != nil {
 		return err
 	}
@@ -253,7 +161,7 @@ func (t *Tree) AbandonQuarantined(no uint32, lo []byte) error {
 		return err
 	}
 	if t.pool.Quarantine().IsQuarantined(no) {
-		return &QuarantinedRangeError{PageNo: no, Reason: "rebuild fallback failed"}
+		return &QuarantinedRangeError{PageNo: no, Reason: failure}
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	path, err := t.descendPath(key, true)
+	path, err := t.descendPath(key)
 	if err != nil {
 		return err
 	}

@@ -20,62 +20,112 @@ func measureAllocs(runs int, f func()) float64 {
 }
 
 // TestLookupZeroAllocs: a warm Lookup hit through LookupInto with a reused
-// destination buffer must not allocate.
+// destination buffer must not allocate, on every variant — the protected
+// ones run every §3.3/§3.4 page check on the way down.
 func TestLookupZeroAllocs(t *testing.T) {
-	tr, _ := newTree(t, Normal)
-	const n = 200
-	for i := 0; i < n; i++ {
-		mustInsert(t, tr, i)
-	}
-	want := make([][]byte, n)
-	for i := range want {
-		want[i] = val(i)
-	}
-	key := make([]byte, 4)
-	dst := make([]byte, 0, 64)
-	i := 0
-	allocs := measureAllocs(500, func() {
-		binary.BigEndian.PutUint32(key, uint32(i%n))
-		v, err := tr.LookupInto(key, dst[:0])
-		if err != nil {
-			t.Fatalf("LookupInto(%d): %v", i%n, err)
-		}
-		if !bytes.Equal(v, want[i%n]) {
-			t.Fatalf("LookupInto(%d) = %q", i%n, v)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("warm lookup hit: %.1f allocs/op, want 0", allocs)
+	for _, v := range allVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			tr, _ := newTree(t, v)
+			const n = 200
+			for i := 0; i < n; i++ {
+				mustInsert(t, tr, i)
+			}
+			want := make([][]byte, n)
+			for i := range want {
+				want[i] = val(i)
+			}
+			key := make([]byte, 4)
+			dst := make([]byte, 0, 64)
+			i := 0
+			allocs := measureAllocs(500, func() {
+				binary.BigEndian.PutUint32(key, uint32(i%n))
+				v, err := tr.LookupInto(key, dst[:0])
+				if err != nil {
+					t.Fatalf("LookupInto(%d): %v", i%n, err)
+				}
+				if !bytes.Equal(v, want[i%n]) {
+					t.Fatalf("LookupInto(%d) = %q", i%n, v)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("warm lookup hit: %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 
 // TestInsertZeroAllocs: a no-split insert into a warm tree must not
-// allocate — the descent scratch, path slice, and in-page encode are all
-// pooled or in place.
+// allocate on any variant — the descent scratch, path slice, and in-page
+// encode are all pooled or in place.
 func TestInsertZeroAllocs(t *testing.T) {
-	tr, _ := newTree(t, Normal)
-	// Warm the tree past root creation so every measured insert takes the
-	// shared fast path; 4-byte keys + 9-byte values leave a fresh leaf with
-	// room for hundreds more, so none of the measured inserts split.
-	for i := 0; i < 8; i++ {
-		mustInsert(t, tr, i)
+	for _, v := range allVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			tr, _ := newTree(t, v)
+			// Warm the tree past root creation so every measured insert
+			// takes the shared fast path; 4-byte keys + 9-byte values
+			// leave a fresh leaf with room for hundreds more, so none of
+			// the measured inserts split.
+			for i := 0; i < 8; i++ {
+				mustInsert(t, tr, i)
+			}
+			key := make([]byte, 4)
+			value := []byte("v00000000")
+			i := 100
+			allocs := measureAllocs(200, func() {
+				binary.BigEndian.PutUint32(key, uint32(i))
+				if err := tr.Insert(key, value); err != nil {
+					t.Fatalf("Insert(%d): %v", i, err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("no-split insert: %.1f allocs/op, want 0", allocs)
+			}
+			if err := tr.Check(CheckStrict); err != nil {
+				t.Fatalf("Check: %v", err)
+			}
+		})
 	}
-	key := make([]byte, 4)
-	value := []byte("v00000000")
-	i := 100
-	allocs := measureAllocs(200, func() {
-		binary.BigEndian.PutUint32(key, uint32(i))
-		if err := tr.Insert(key, value); err != nil {
-			t.Fatalf("Insert(%d): %v", i, err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("no-split insert: %.1f allocs/op, want 0", allocs)
-	}
-	if err := tr.Check(CheckStrict); err != nil {
-		t.Fatalf("Check: %v", err)
+}
+
+// TestScanAllocs bounds a warm 3-key bounded Scan on every variant. The
+// shared scan copies each pair out of the latched leaf before it is
+// validated and emitted, so a scan cannot be allocation-free; the bound is
+// what that costs for three pairs (9 allocs/op on every variant), and the
+// descent and leaf reader may add nothing to it.
+func TestScanAllocs(t *testing.T) {
+	const maxAllocs = 9
+	for _, v := range allVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			tr, _ := newTree(t, v)
+			const n = 200
+			for i := 0; i < n; i++ {
+				mustInsert(t, tr, i)
+			}
+			start, end := make([]byte, 4), make([]byte, 4)
+			i, got := 0, 0
+			count := func(_, _ []byte) bool {
+				got++
+				return true
+			}
+			allocs := measureAllocs(200, func() {
+				lo := i % (n - 3)
+				binary.BigEndian.PutUint32(start, uint32(lo))
+				binary.BigEndian.PutUint32(end, uint32(lo+3))
+				got = 0
+				if err := tr.Scan(start, end, count); err != nil {
+					t.Fatalf("Scan(%d): %v", lo, err)
+				}
+				if got != 3 {
+					t.Fatalf("Scan(%d) emitted %d keys, want 3", lo, got)
+				}
+				i++
+			})
+			if allocs > maxAllocs {
+				t.Fatalf("warm 3-key scan: %.1f allocs/op, want <= %d", allocs, maxAllocs)
+			}
+		})
 	}
 }
 

@@ -21,14 +21,12 @@ func (t *Tree) Insert(key, value []byte) error {
 		return err
 	}
 	t.Stats.Inserts.Add(1)
+	keys, values, order := [][]byte{key}, [][]byte{value}, []int{0}
 	for attempt := 0; attempt < maxSharedRetries; attempt++ {
 		t.mu.RLock()
-		ver := t.structVer.Load()
-		var err error
-		if ver%2 != 0 {
-			err = errRetryShared // split in flight: snapshot again
-		} else {
-			err = t.insertShared(key, value, ver)
+		_, err := t.insertShared(keys, values, order, t.structVer.Load())
+		if errors.Is(err, errSplitNeeded) {
+			err = t.insertSplitShared(key, value)
 		}
 		t.mu.RUnlock()
 		if errors.Is(err, errRetryShared) {
@@ -36,8 +34,7 @@ func (t *Tree) Insert(key, value []byte) error {
 			retryBackoff(attempt)
 			continue
 		}
-		if errors.Is(err, errNeedsExclusive) || errors.Is(err, errNeedsRepair) ||
-			errors.Is(err, buffer.ErrQuarantined) {
+		if errors.Is(err, errNeedsExclusive) || errors.Is(err, buffer.ErrQuarantined) {
 			// Quarantine errors fall through too: the exclusive descent
 			// attaches the prescribed key range to the typed error.
 			break
@@ -53,7 +50,7 @@ func (t *Tree) Insert(key, value []byte) error {
 }
 
 func (t *Tree) insertLocked(key, value []byte) error {
-	path, err := t.descendPath(key, true)
+	path, err := t.descendPath(key)
 	if err != nil {
 		return err
 	}

@@ -75,7 +75,7 @@ func (t *Tree) MergeUnderfull() (MergeStats, error) {
 // exactly like the merge's parent update.
 func (t *Tree) collapseRootLocked(st *MergeStats) error {
 	for {
-		metaFrame, rootFrame, rootNo, err := t.getRoot(true)
+		metaFrame, rootFrame, rootNo, err := t.getRoot()
 		if err != nil {
 			return err
 		}
@@ -123,7 +123,7 @@ func (t *Tree) collapseRootLocked(st *MergeStats) error {
 }
 
 func (t *Tree) heightLocked() (int, error) {
-	metaFrame, rootFrame, rootNo, err := t.getRoot(true)
+	metaFrame, rootFrame, rootNo, err := t.getRoot()
 	if err != nil {
 		return 0, err
 	}
@@ -179,7 +179,7 @@ func (t *Tree) mergeLevelLocked(level uint8, st *MergeStats) (int, int, error) {
 
 // descendToLevel descends toward key but stops at the given level.
 func (t *Tree) descendToLevel(key []byte, level uint8) ([]pathEntry, error) {
-	path, err := t.descendPath(key, true)
+	path, err := t.descendPath(key)
 	if err != nil {
 		return nil, err
 	}

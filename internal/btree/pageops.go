@@ -96,6 +96,17 @@ func childRange(p page.Page, i int, lo, hi []byte) (cLo, cHi []byte, err error) 
 	return cLo, cHi, nil
 }
 
+// childLink reads entry i of internal page p — the link a descent follows
+// — together with the range [cLo, cHi) it prescribes within the page's own
+// range [lo, hi).
+func childLink(p page.Page, i int, lo, hi []byte) (it internalItem, cLo, cHi []byte, err error) {
+	if it, err = internalEntry(p, i); err != nil {
+		return internalItem{}, nil, nil, err
+	}
+	cLo, cHi, err = childRange(p, i, lo, hi)
+	return it, cLo, cHi, err
+}
+
 // minMaxKeys returns the smallest and largest live keys on the page; ok is
 // false for an empty page.
 func minMaxKeys(p page.Page) (minKey, maxKey []byte, ok bool, err error) {

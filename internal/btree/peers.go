@@ -2,10 +2,7 @@ package btree
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 
-	"repro/internal/buffer"
 	"repro/internal/obs"
 	"repro/internal/page"
 )
@@ -49,7 +46,7 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 			changed = true
 		}
 	} else {
-		ln, err := t.findLeafForPredecessor(leaf.lo)
+		ln, err := t.predecessorLeaf(leaf.lo)
 		if err != nil {
 			return err
 		}
@@ -78,7 +75,7 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 			changed = true
 		}
 	} else {
-		rPath, err := t.descendPath(leaf.hi, true)
+		rPath, err := t.descendPath(leaf.hi)
 		if err != nil {
 			return err
 		}
@@ -133,66 +130,6 @@ func (t *Tree) needsPeerVerify(p page.Page) bool {
 		return true
 	}
 	return p.SyncToken() < t.counter.LastCrash() && !p.HasFlag(page.FlagPeerVerified)
-}
-
-// findLeafForPredecessor descends to the leaf holding the largest keys
-// strictly below bound (the left neighbor of the leaf whose range starts at
-// bound). It returns nil when no such leaf exists; otherwise the returned
-// entry's frame is pinned and the caller must unpin it.
-func (t *Tree) findLeafForPredecessor(bound []byte) (*pathEntry, error) {
-	metaFrame, rootFrame, rootNo, err := t.getRoot(true)
-	if err != nil {
-		return nil, err
-	}
-	metaFrame.Unpin()
-	if rootNo == 0 {
-		return nil, nil
-	}
-	path := []pathEntry{{no: rootNo, frame: rootFrame}}
-	for {
-		cur := &path[len(path)-1]
-		p := cur.frame.Data
-		if p.Type() == page.TypeLeaf {
-			leaf := path[len(path)-1]
-			for _, e := range path[:len(path)-1] {
-				e.frame.Unpin()
-			}
-			leaf.lo = cloneBytes(leaf.lo)
-			leaf.hi = cloneBytes(leaf.hi)
-			return &leaf, nil
-		}
-		if p.Type() != page.TypeInternal {
-			releasePath(path)
-			return nil, fmt.Errorf("%w: page %d of type %v on predecessor path",
-				ErrUnrecoverable, cur.no, p.Type())
-		}
-		var childFrame *buffer.Frame
-		var childNo uint32
-		var cLo, cHi []byte
-		for attempt := 0; ; attempt++ {
-			idx, err := internalSearchPred(p, bound)
-			if err != nil {
-				releasePath(path)
-				return nil, err
-			}
-			if idx < 0 {
-				// Everything in this subtree is >= bound.
-				releasePath(path)
-				return nil, nil
-			}
-			cur.idx = idx
-			childFrame, childNo, cLo, cHi, err = t.loadChild(cur, idx, true)
-			if errors.Is(err, errEntryDropped) && attempt < 8 {
-				continue
-			}
-			if err != nil {
-				releasePath(path)
-				return nil, err
-			}
-			break
-		}
-		path = append(path, pathEntry{no: childNo, frame: childFrame, lo: cLo, hi: cHi, idx: -1})
-	}
 }
 
 // internalSearchPred returns the largest entry whose separator is strictly

@@ -307,12 +307,7 @@ func (t *Tree) repairStaleReorgPage(parent *pathEntry, idx int, childFrame *buff
 		if err != nil {
 			return err
 		}
-		okSib, err := t.childConsistent(sf.Data, level, sLo, sHi)
-		if err != nil {
-			sf.Unpin()
-			return err
-		}
-		if okSib {
+		if childConsistent(sf.Data, level, sLo, sHi) {
 			if !t.durable(sf.Data.SyncToken()) {
 				undurableSibling = true
 			}
@@ -616,7 +611,7 @@ func (t *Tree) probeAdjacentSource(parent *pathEntry, idx int, childNo uint32, c
 		return e.no, true
 	}
 	if idx == 0 && len(cLo) > 0 {
-		ln, err := t.findLeafForPredecessor(cLo)
+		ln, err := t.predecessorLeaf(cLo)
 		if err != nil {
 			return 0, false, err
 		}
@@ -629,7 +624,7 @@ func (t *Tree) probeAdjacentSource(parent *pathEntry, idx int, childNo uint32, c
 		}
 	}
 	if idx == parent.frame.Data.NKeys()-1 && cHi != nil {
-		path, err := t.descendPath(cHi, true)
+		path, err := t.descendPath(cHi)
 		if err != nil {
 			return 0, false, err
 		}

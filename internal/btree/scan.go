@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"errors"
+	"fmt"
 
 	"repro/internal/buffer"
 	"repro/internal/obs"
@@ -28,139 +29,128 @@ func (t *Tree) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 		return nil
 	}
 	if !errors.Is(err, errNeedsExclusive) && !errors.Is(err, errRetryShared) &&
-		!errors.Is(err, errNeedsRepair) && !errors.Is(err, buffer.ErrQuarantined) {
+		!errors.Is(err, buffer.ErrQuarantined) {
 		return err
 	}
-	// Fall back to the exclusive (repairing) path, resuming at the cursor
+	// Fall back to the exclusive (repairing) walk, resuming at the cursor
 	// the shared scan reached so no pair is emitted twice.
 	t.obs.Count(obs.ExclusiveFallback)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.scanLocked(resume, end, true, fn)
+	_, err = t.walkLocked(resume, end, false, fn)
+	return err
 }
 
-func (t *Tree) scanLocked(start, end []byte, repair bool, fn func(key, value []byte) bool) error {
+// walkLocked is the one exclusive-mode range walk, behind the Scan
+// fallback, ScanDegraded, RecoverAvailable and RecoverAll. It covers
+// [start, end) leaf by leaf through root-to-leaf descents, which is where
+// repair lives.
+//
+// With fn set it is a scan: each leaf's keys in range go to fn, and the
+// walk moves on along trusted right-peer links until one is in doubt, then
+// descends again. With fn nil it is the recovery pass: every leaf is
+// reached by its own descent, so every pending repair on every path fires,
+// and is verified into the peer chain (§3.5.1).
+//
+// skip is the quarantine policy. With skip set, a quarantined subtree the
+// descent runs into is recorded in the report and stepped over, and a peer
+// verification that runs into one is let be (its range is reported when
+// descended). Without it, the first quarantined range ends the walk with
+// its *QuarantinedRangeError.
+func (t *Tree) walkLocked(start, end []byte, skip bool, fn func(key, value []byte) bool) (ScanReport, error) {
+	var rep ScanReport
 	cur := start
 	if cur == nil {
 		cur = []byte{}
 	}
-	for {
-		path, err := t.descendPath(cur, repair)
-		if err != nil {
-			return err
-		}
-		if path == nil {
-			return nil // empty tree
-		}
-		leaf := path[len(path)-1]
-		for _, e := range path[:len(path)-1] {
-			e.frame.Unpin()
-		}
-		frame, hi := leaf.frame, leaf.hi
-
-		done, last, err := emitLeaf(frame.Data, cur, end, fn)
-		if err != nil {
-			frame.Unpin()
-			return err
-		}
-		if done {
-			frame.Unpin()
-			return nil
-		}
-		if hi == nil {
-			// The descent placed this leaf at the right edge of the
-			// key space: nothing exists beyond it, whatever stale
-			// peer pointers may claim.
-			frame.Unpin()
-			return nil
-		}
-		if last != nil {
-			cur = keySuccessor(last)
-		}
-		// Progress guarantee: the descent's upper bound is
-		// authoritative, so the cursor always moves past this leaf's
-		// range before the next descent — a stale peer chain can cost
-		// extra descents but never a livelock.
-		cur = maxKeyBytes(cur, hi)
-
-		// Fast path: follow trusted peer hops while they keep
-		// yielding keys; fall back to a descent on any doubt.
-		for {
-			next, ok, err := t.trustedRightPeer(frame)
-			frame.Unpin()
-			if err != nil {
-				return err
+	for end == nil || bytes.Compare(cur, end) < 0 {
+		path, err := t.descendPath(cur)
+		var qe *QuarantinedRangeError
+		if skip && errors.As(err, &qe) {
+			rep.Skipped = append(rep.Skipped, SkippedRange(*qe))
+			t.obs.Eventf(obs.ScanSkip, qe.PageNo, "walk skipped quarantined range")
+			if qe.Hi == nil {
+				// Unbounded above: nothing past the quarantined subtree
+				// is reachable from here.
+				return rep, nil
 			}
-			if !ok {
-				break // outer loop re-descends at cur
+			// The failing descent was headed for a key inside
+			// [qe.Lo, qe.Hi), so qe.Hi strictly advances the cursor;
+			// guard anyway so a registry inconsistency cannot livelock
+			// the walk.
+			if bytes.Compare(qe.Hi, cur) <= 0 {
+				return rep, fmt.Errorf("%w: quarantined range did not advance the walk cursor", ErrUnrecoverable)
 			}
-			t.obs.Count(obs.ChaseHop)
-			frame = next
-			done, last, err := emitLeaf(frame.Data, cur, end, fn)
-			if err != nil {
+			cur = qe.Hi
+			continue
+		}
+		if err != nil || path == nil {
+			return rep, err // a nil path is an empty tree
+		}
+		leaf := leafOf(path)
+		if fn == nil {
+			p := leaf.frame.Data
+			if t.protected() && (!p.HasFlag(page.FlagPeerVerified) || p.HasFlag(page.FlagPeerSuspect)) {
+				err = t.verifyPeerPath(&leaf)
+			}
+			leaf.frame.Unpin()
+			if err != nil && !(skip && errors.Is(err, buffer.ErrQuarantined)) {
+				return rep, err
+			}
+			if leaf.hi == nil {
+				return rep, nil
+			}
+			cur = leaf.hi
+			continue
+		}
+		frame := leaf.frame
+		for fromDescent := true; ; fromDescent = false {
+			done, last, err := readLeaf(frame.Data, cur, end, fn)
+			if err != nil || done {
 				frame.Unpin()
-				return err
+				return rep, err
 			}
-			if done {
-				frame.Unpin()
-				return nil
+			if last != nil {
+				cur = keySuccessor(last)
 			}
-			if last == nil {
-				// A hop that yields nothing is suspicious (a
-				// stale page or an emptied leaf): let the root
-				// path decide where the scan really stands.
+			if fromDescent {
+				// The descent placed this leaf at the right edge of the
+				// key space: nothing exists beyond it, whatever stale
+				// peer pointers may claim. Otherwise its upper bound is
+				// authoritative, so the cursor always moves past this
+				// leaf's range before the next descent — a stale peer
+				// chain can cost extra descents but never a livelock.
+				if leaf.hi == nil {
+					frame.Unpin()
+					return rep, nil
+				}
+				cur = maxKeyBytes(cur, leaf.hi)
+			} else if last == nil {
+				// A hop that yields nothing is suspicious (a stale page
+				// or an emptied leaf): let the root path decide where
+				// the walk really stands.
 				frame.Unpin()
 				break
 			}
-			cur = keySuccessor(last)
+			next, err := t.hopRight(frame.PageNo(), frame.Data.RightPeer(), frame.Data.RightPeerToken())
+			frame.Unpin()
+			if err != nil {
+				return rep, err
+			}
+			if next == nil {
+				break // re-descend at cur
+			}
+			frame = next
 		}
 	}
+	return rep, nil
 }
 
-// trustedRightPeer follows frame's right peer pointer if the link passes
-// the §3.5.1 token check and the target is safe to read without parent
-// context. The returned frame is pinned.
-func (t *Tree) trustedRightPeer(frame *buffer.Frame) (*buffer.Frame, bool, error) {
-	p := frame.Data
-	rp := p.RightPeer()
-	if rp == 0 {
-		return nil, false, nil
-	}
-	next, err := t.pool.Get(rp)
-	if err != nil {
-		if errors.Is(err, buffer.ErrQuarantined) {
-			// A quarantined peer is simply untrusted from the side path;
-			// the root descent has the range context to report the skip.
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	ok := next.Data.Valid() && next.Data.Type() == page.TypeLeaf
-	if ok && !(t.opts.DisablePeerCheck && t.protected()) {
-		ok = next.Data.LeftPeerToken() == p.RightPeerToken() &&
-			next.Data.LeftPeer() == frame.PageNo()
-	}
-	// A leaf still carrying pre-crash backup keys cannot be trusted from
-	// the side path: its live key set may be only half the story (§3.4
-	// cases (a)/(b)); route through the root so the descent resolves it.
-	if ok && t.protected() && next.Data.PrevNKeys() != 0 &&
-		next.Data.SyncToken() < t.counter.LastCrash() {
-		ok = false
-	}
-	if ok && t.protected() && next.Data.FindDuplicateSlot() >= 0 {
-		ok = false
-	}
-	if !ok {
-		next.Unpin()
-		return nil, false, nil
-	}
-	return next, true, nil
-}
-
-// emitLeaf streams the leaf's keys in [cur, end) to fn. done reports the
-// scan is complete (fn stopped it or end was passed); last is the largest
-// key emitted or inspected on this leaf.
-func emitLeaf(p page.Page, cur, end []byte, fn func(key, value []byte) bool) (done bool, last []byte, err error) {
+// readLeaf is the one leaf reader: it passes the keys of leaf page p in
+// [cur, end) to emit, in order. done reports the end of the range (end was
+// reached or emit returned false); last is the largest key passed, and
+// aliases the page like the pairs emit sees.
+func readLeaf(p page.Page, cur, end []byte, emit func(key, value []byte) bool) (done bool, last []byte, err error) {
 	pos, _, err := leafSearch(p, cur)
 	if err != nil {
 		return false, nil, err
@@ -173,8 +163,8 @@ func emitLeaf(p page.Page, cur, end []byte, fn func(key, value []byte) bool) (do
 		if end != nil && bytes.Compare(k, end) >= 0 {
 			return true, last, nil
 		}
-		last = cloneBytes(k)
-		if !fn(k, v) {
+		last = k
+		if !emit(k, v) {
 			return true, last, nil
 		}
 	}
@@ -203,50 +193,19 @@ func (t *Tree) Count() (int, error) {
 func (t *Tree) Height() (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	metaFrame, rootFrame, rootNo, err := t.getRoot(true)
-	if err != nil {
-		return 0, err
-	}
-	metaFrame.Unpin()
-	if rootNo == 0 {
-		return 0, nil
-	}
-	h := int(rootFrame.Data.Level()) + 1
-	rootFrame.Unpin()
-	return h, nil
+	return t.heightLocked()
 }
 
 // RecoverAll eagerly walks every leaf range through root-to-leaf descents,
 // triggering and completing every pending repair. The paper's design
 // repairs lazily on first use; this exists for tests, the vacuum, and
-// operators who want a bounded recovery pass.
+// operators who want a bounded recovery pass. It is RecoverAvailable with
+// the first quarantined range, if any, returned as its error.
 func (t *Tree) RecoverAll() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := []byte{}
-	for {
-		path, err := t.descendPath(cur, true)
-		if err != nil {
-			return err
-		}
-		if path == nil {
-			return nil
-		}
-		leaf := path[len(path)-1]
-		// Run the insert-time peer verification too, so the peer
-		// chain is fully reconciled (§3.5.1).
-		if t.protected() && (!leaf.frame.Data.HasFlag(page.FlagPeerVerified) ||
-			leaf.frame.Data.HasFlag(page.FlagPeerSuspect)) {
-			if err := t.verifyPeerPath(&leaf); err != nil {
-				releasePath(path)
-				return err
-			}
-		}
-		hi := cloneBytes(leaf.hi)
-		releasePath(path)
-		if hi == nil {
-			return nil
-		}
-		cur = hi
+	rep, err := t.RecoverAvailable()
+	if err != nil || rep.Complete() {
+		return err
 	}
+	qe := QuarantinedRangeError(rep.Skipped[0])
+	return &qe
 }

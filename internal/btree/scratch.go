@@ -12,16 +12,23 @@ import "sync"
 // Ownership rules:
 //
 //   - A descentScratch is borrowed for the duration of ONE shared descent
-//     plus whatever the caller does with the returned bounds; the lo/hi
-//     slices returned by descendSharedLeaf alias the scratch and die with
+//     (descendShared) plus whatever the caller does with the returned
+//     bounds; the lo/hi slices it returns alias the scratch and die with
 //     putDescent. Callers that persist a bound past the release (the scan
-//     cursor does) must clone it first.
+//     cursor does) must clone it first. A path-mode descent clones every
+//     entry's bounds as it appends the entry, so the path outlives the
+//     scratch.
 //   - The bounds are double-buffered: childRange may return the parent's
 //     own bounds unchanged, so each level stages into the buffer pair the
 //     previous level is NOT using, then flips.
 //   - Path slices from newPath are returned with putPath, which clears the
 //     entries (they hold frame pointers) before pooling. releasePath both
-//     unpins and pools; callers must not touch the slice afterwards.
+//     unpins and pools, and leafOf pools all but the leaf; callers must not
+//     touch the slice afterwards. A path-mode descendShared that fails has
+//     already released the path and set it to nil.
+//   - Exclusive-descent bounds point into the parent pages: they are valid
+//     while the path is pinned. leafOf clones the leaf's bounds because it
+//     unpins the parents.
 
 // descentScratch carries the staged child-range bounds for one shared
 // root-to-leaf descent.
@@ -59,8 +66,9 @@ func (s *descentScratch) stage(cLo, cHi []byte) (lo, hi []byte) {
 	return lo, hi
 }
 
-// Path-slice pool for the exclusive and split descents. maxSharedDepth
-// bounds every descent loop, so a pooled slice never regrows.
+// Path-slice pool for the exclusive descent and path-mode shared
+// descents. maxSharedDepth bounds every descent loop, so a pooled slice
+// never regrows.
 var pathPool = sync.Pool{New: func() any {
 	s := make([]pathEntry, 0, maxSharedDepth)
 	return &s

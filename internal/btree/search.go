@@ -9,12 +9,6 @@ import (
 	"repro/internal/page"
 )
 
-// errNeedsRepair is returned by read-only descents that detect an
-// inconsistency: the caller upgrades to the exclusive lock and retries with
-// repair enabled. This mirrors the paper's §3.6 rule of traversing a
-// suspect link a second time before treating the inconsistency as genuine.
-var errNeedsRepair = errors.New("btree: inconsistency detected, repair required")
-
 // pathEntry records one level of a root-to-leaf descent.
 type pathEntry struct {
 	no     uint32
@@ -37,10 +31,10 @@ func releasePath(path []pathEntry) {
 // protected reports whether this variant performs crash detection at all.
 func (t *Tree) protected() bool { return t.variant != Normal }
 
-// getRoot pins and returns the meta frame and the verified root frame.
-// rootNo is 0 for an empty tree (rootFrame nil; metaFrame still pinned).
-// With repair false, a lost root yields errNeedsRepair.
-func (t *Tree) getRoot(repair bool) (metaFrame *buffer.Frame, rootFrame *buffer.Frame, rootNo uint32, err error) {
+// getRoot pins and returns the meta frame and the verified root frame,
+// repairing what the page checks find on the root. rootNo is 0 for an
+// empty tree (rootFrame nil; metaFrame still pinned).
+func (t *Tree) getRoot() (metaFrame *buffer.Frame, rootFrame *buffer.Frame, rootNo uint32, err error) {
 	metaFrame, err = t.pool.Get(0)
 	if err != nil {
 		return nil, nil, 0, err
@@ -59,46 +53,25 @@ func (t *Tree) getRoot(repair bool) (metaFrame *buffer.Frame, rootFrame *buffer.
 		}
 		return nil, nil, 0, err
 	}
-	if t.protected() && !t.opts.DisableRangeCheck {
-		t.Stats.RangeChecks.Add(1)
-		bad := rootFrame.Data.IsZeroed() || !rootFrame.Data.Valid() ||
-			rootFrame.Data.SyncToken() != m.rootToken()
-		if bad {
-			if !repair {
-				rootFrame.Unpin()
-				metaFrame.Unpin()
-				return nil, nil, 0, errNeedsRepair
+	if !t.rootLinkOK(rootFrame.Data, m.rootToken()) {
+		if err := t.repairRoot(metaFrame, rootFrame); err != nil {
+			rootFrame.Unpin()
+			metaFrame.Unpin()
+			if errors.Is(err, ErrUnrecoverable) || errors.Is(err, buffer.ErrQuarantined) {
+				// A root with no durable source takes the whole key
+				// space down with it: quarantine as critical so the
+				// health-state machine forces ReadOnly.
+				return nil, nil, 0, t.quarantineSubtree(rootNo, nil, nil, true, err)
 			}
-			if err := t.repairRoot(metaFrame, rootFrame); err != nil {
-				rootFrame.Unpin()
-				metaFrame.Unpin()
-				if errors.Is(err, ErrUnrecoverable) || errors.Is(err, buffer.ErrQuarantined) {
-					// A root with no durable source takes the whole key
-					// space down with it: quarantine as critical so the
-					// health-state machine forces ReadOnly.
-					return nil, nil, 0, t.quarantineSubtree(rootNo, nil, nil, true, err)
-				}
-				return nil, nil, 0, err
-			}
+			return nil, nil, 0, err
 		}
 	}
-	// Repair interrupted line-table updates on sight (§3.3.2).
-	if err := t.fixIntraPage(rootFrame, repair); err != nil {
-		rootFrame.Unpin()
-		metaFrame.Unpin()
-		return nil, nil, 0, err
-	}
+	t.fixIntraPage(rootFrame)
 	// A root still carrying backup keys from before the last crash is
 	// the pre-split page of an uncommitted root split: its range is the
 	// whole key space, so the backups fold straight back in (§3.4 cases
 	// (a)/(b) at the top of the tree).
-	if t.protected() && rootFrame.Data.PrevNKeys() != 0 &&
-		rootFrame.Data.SyncToken() < t.counter.LastCrash() {
-		if !repair {
-			rootFrame.Unpin()
-			metaFrame.Unpin()
-			return nil, nil, 0, errNeedsRepair
-		}
+	if t.backupsPending(rootFrame.Data) {
 		caseMetric := t.reorgCaseAB(rootFrame.Data)
 		if err := t.mergeBackupsInto(rootFrame); err != nil {
 			rootFrame.Unpin()
@@ -113,44 +86,51 @@ func (t *Tree) getRoot(repair bool) (metaFrame *buffer.Frame, rootFrame *buffer.
 	return metaFrame, rootFrame, rootNo, nil
 }
 
-// fixIntraPage detects and (when permitted) repairs duplicate line-table
-// offsets left by an interrupted insert (§3.3.1–3.3.2).
-func (t *Tree) fixIntraPage(f *buffer.Frame, repair bool) error {
-	if !t.protected() || f.Data.IsZeroed() {
-		return nil
+// fixIntraPage repairs duplicate line-table offsets left by an interrupted
+// insert (§3.3.1–3.3.2), and flags a page found clean so later accesses
+// skip the duplicate scan.
+func (t *Tree) fixIntraPage(f *buffer.Frame) {
+	p := f.Data
+	if !t.protected() || p.IsZeroed() || p.HasFlag(page.FlagLineClean) {
+		return
 	}
-	// A page whose line-clean flag is set was never snapshotted in the
-	// middle of a line-table update, so the O(n) duplicate scan is
-	// skipped — detection happens on first use of a damaged page, not on
-	// every access.
-	if f.Data.HasFlag(page.FlagLineClean) {
-		return nil
+	if t.lineTableTorn(p) {
+		n := p.RepairDuplicates()
+		t.Stats.RepairsIntraPage.Add(uint64(n))
+		t.obs.Eventf(obs.RepairIntraPage, uint32(f.PageNo()), "%d duplicate line-table entries removed", n)
 	}
-	if f.Data.FindDuplicateSlot() < 0 {
-		f.Data.AddFlag(page.FlagLineClean)
-		f.MarkDirty()
-		return nil
-	}
-	if !repair {
-		return errNeedsRepair
-	}
-	n := f.Data.RepairDuplicates()
-	t.Stats.RepairsIntraPage.Add(uint64(n))
-	t.obs.Eventf(obs.RepairIntraPage, uint32(f.PageNo()), "%d duplicate line-table entries removed", n)
-	f.Data.AddFlag(page.FlagLineClean)
+	p.AddFlag(page.FlagLineClean)
 	f.MarkDirty()
-	return nil
 }
 
-// descendPath walks from the root to the leaf whose range contains key,
-// verifying each parent→child link on the way (§3.3.1) and repairing what
-// it finds when repair is true. Every frame on the returned path is pinned
-// (the paper's §3.6 pin-before-release discipline, held for the whole
-// operation because writers are exclusive here).
+// descendPath is the one exclusive-mode descent: it walks from the root to
+// the leaf whose range contains key, running the page checks on every page
+// and repairing what fails (§3.3/§3.4). Every frame on the returned path is
+// pinned (the paper's §3.6 pin-before-release discipline, held for the
+// whole operation because writers are exclusive here).
 //
 // A nil path with nil error means the tree is empty.
-func (t *Tree) descendPath(key []byte, repair bool) ([]pathEntry, error) {
-	metaFrame, rootFrame, rootNo, err := t.getRoot(repair)
+func (t *Tree) descendPath(key []byte) ([]pathEntry, error) { return t.descend(key, false) }
+
+// predecessorLeaf descends to the leaf holding the largest keys strictly
+// below bound: the left neighbor of the leaf whose range starts at bound.
+// It returns nil when no such leaf exists; otherwise only the returned
+// leaf is pinned and the caller must unpin it.
+func (t *Tree) predecessorLeaf(bound []byte) (*pathEntry, error) {
+	path, err := t.descend(bound, true)
+	if err != nil || path == nil {
+		return nil, err
+	}
+	leaf := leafOf(path)
+	return &leaf, nil
+}
+
+// descend is the body of both exclusive descents. pred selects, at every
+// internal level, the entry below key (internalSearchPred) instead of the
+// entry covering it; a pred descent that finds every key of a subtree at or
+// above key returns a nil path.
+func (t *Tree) descend(key []byte, pred bool) ([]pathEntry, error) {
+	metaFrame, rootFrame, rootNo, err := t.getRoot()
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +138,11 @@ func (t *Tree) descendPath(key []byte, repair bool) ([]pathEntry, error) {
 	if rootNo == 0 {
 		return nil, nil
 	}
-	path := append(newPath(), pathEntry{no: rootNo, frame: rootFrame, lo: nil, hi: nil, idx: -1})
+	search := internalSearch
+	if pred {
+		search = internalSearchPred
+	}
+	path := append(newPath(), pathEntry{no: rootNo, frame: rootFrame, idx: -1})
 	for {
 		cur := &path[len(path)-1]
 		p := cur.frame.Data
@@ -170,21 +154,21 @@ func (t *Tree) descendPath(key []byte, repair bool) ([]pathEntry, error) {
 			return nil, fmt.Errorf("%w: page %d has type %v on the descent path",
 				ErrUnrecoverable, cur.no, p.Type())
 		}
-		var childFrame *buffer.Frame
-		var childNo uint32
-		var cLo, cHi []byte
 		for attempt := 0; ; attempt++ {
-			idx, err := internalSearch(p, key)
+			idx, err := search(p, key)
 			if err != nil {
 				releasePath(path)
 				return nil, err
 			}
 			if idx < 0 {
 				releasePath(path)
+				if pred {
+					return nil, nil // everything in this subtree is >= key
+				}
 				return nil, fmt.Errorf("%w: internal page %d is empty", ErrUnrecoverable, cur.no)
 			}
 			cur.idx = idx
-			childFrame, childNo, cLo, cHi, err = t.loadChild(cur, idx, repair)
+			child, err := t.loadChild(cur, idx)
 			if errors.Is(err, errEntryDropped) && attempt < 8 {
 				// The repair removed the entry we were following;
 				// re-select on the updated parent.
@@ -194,131 +178,95 @@ func (t *Tree) descendPath(key []byte, repair bool) ([]pathEntry, error) {
 				releasePath(path)
 				return nil, err
 			}
+			path = append(path, child)
 			break
 		}
-		path = append(path, pathEntry{no: childNo, frame: childFrame, lo: cLo, hi: cHi, idx: -1})
 	}
 }
 
-// loadChild reads, verifies, and (when repair is true) repairs the child at
-// entry idx of the internal page held by parent. It returns a pinned frame.
-func (t *Tree) loadChild(parent *pathEntry, idx int, repair bool) (*buffer.Frame, uint32, []byte, []byte, error) {
+// leafOf keeps only the leaf of path pinned and recycles the rest. The
+// leaf's bounds are cloned: they point into parent pages, which may be
+// evicted or repaired once unpinned.
+func leafOf(path []pathEntry) pathEntry {
+	leaf := path[len(path)-1]
+	leaf.lo, leaf.hi = cloneBytes(leaf.lo), cloneBytes(leaf.hi)
+	for _, e := range path[:len(path)-1] {
+		e.frame.Unpin()
+	}
+	putPath(path)
+	return leaf
+}
+
+// loadChild reads the child at entry idx of the internal page held by
+// parent, runs the page checks on it and repairs what fails. It returns
+// the child's path entry with its frame pinned.
+func (t *Tree) loadChild(parent *pathEntry, idx int) (pathEntry, error) {
 	p := parent.frame.Data
-	it, err := internalEntry(p, idx)
+	it, cLo, cHi, err := childLink(p, idx, parent.lo, parent.hi)
 	if err != nil {
-		return nil, 0, nil, nil, err
+		return pathEntry{}, err
 	}
-	cLo, cHi, err := childRange(p, idx, parent.lo, parent.hi)
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	childFrame, err := t.pool.Get(it.child)
+	childNo := it.child
+	childFrame, err := t.pool.Get(childNo)
 	if err != nil {
 		if errors.Is(err, buffer.ErrQuarantined) {
 			// Attach the prescribed subtree range to the pool-level error
 			// (and record it in the registry for scans and the supervisor).
-			t.pool.Quarantine().SetRange(it.child, cLo, cHi)
-			return nil, 0, nil, nil, asRangeError(it.child, cLo, cHi, err)
+			t.pool.Quarantine().SetRange(childNo, cLo, cHi)
+			return pathEntry{}, asRangeError(childNo, cLo, cHi, err)
 		}
-		return nil, 0, nil, nil, err
+		return pathEntry{}, err
 	}
-	if t.protected() && !t.opts.DisableRangeCheck {
-		t.Stats.RangeChecks.Add(1)
-		consistent, err := t.childConsistent(childFrame.Data, p.Level()-1, cLo, cHi)
-		if err != nil {
+	if !t.childLinkOK(childFrame.Data, p.Level()-1, cLo, cHi) {
+		if err := t.repairChild(parent, idx, it, childFrame, cLo, cHi); err != nil {
 			childFrame.Unpin()
-			return nil, 0, nil, nil, err
-		}
-		if !consistent {
-			if !repair {
-				childFrame.Unpin()
-				return nil, 0, nil, nil, errNeedsRepair
+			if errors.Is(err, ErrUnrecoverable) || errors.Is(err, buffer.ErrQuarantined) {
+				// Repair has no durable source (or its source is itself
+				// quarantined): withdraw the subtree instead of failing
+				// the DB, and degrade gracefully.
+				return pathEntry{}, t.quarantineSubtree(childNo, cLo, cHi, false, err)
 			}
-			if err := t.repairChild(parent, idx, it, childFrame, cLo, cHi); err != nil {
-				childFrame.Unpin()
-				if errors.Is(err, ErrUnrecoverable) || errors.Is(err, buffer.ErrQuarantined) {
-					// Repair has no durable source (or its source is
-					// itself quarantined): withdraw the subtree instead
-					// of failing the DB, and degrade gracefully.
-					return nil, 0, nil, nil, t.quarantineSubtree(it.child, cLo, cHi, false, err)
-				}
-				return nil, 0, nil, nil, err
-			}
+			return pathEntry{}, err
 		}
 	}
-	if err := t.fixIntraPage(childFrame, repair); err != nil {
-		childFrame.Unpin()
-		return nil, 0, nil, nil, err
-	}
+	t.fixIntraPage(childFrame)
 	// Reorg: a page still carrying backup keys from before the most
 	// recent crash must resolve them before it can be used (§3.4,
-	// free-space reclaim case 3) — and before a lookup can trust its
-	// live key set.
-	if t.protected() && childFrame.Data.PrevNKeys() != 0 &&
-		childFrame.Data.SyncToken() < t.counter.LastCrash() {
-		if !repair {
-			childFrame.Unpin()
-			return nil, 0, nil, nil, errNeedsRepair
-		}
+	// free-space reclaim case 3) — and before a lookup can trust its live
+	// key set.
+	if t.backupsPending(childFrame.Data) {
 		if err := t.resolveBackups(parent, idx, childFrame, cLo, cHi); err != nil {
 			childFrame.Unpin()
-			return nil, 0, nil, nil, err
+			return pathEntry{}, err
 		}
 	}
-	return childFrame, it.child, cLo, cHi, nil
+	return pathEntry{no: childNo, frame: childFrame, lo: cLo, hi: cHi, idx: -1}, nil
 }
 
 // childConsistent implements the inter-page check of §3.3.1: the child must
 // be an initialized page of the right type and level whose smallest and
 // largest keys fall inside the range the parent prescribes. A page of all
 // zeros — never written before the crash — is inconsistent by definition.
-func (t *Tree) childConsistent(child page.Page, level uint8, lo, hi []byte) (bool, error) {
+func childConsistent(child page.Page, level uint8, lo, hi []byte) bool {
 	if child.IsZeroed() || !child.Valid() {
-		return false, nil
+		return false
 	}
 	wantType := page.TypeLeaf
 	if level > 0 {
 		wantType = page.TypeInternal
 	}
 	if child.Type() != wantType || child.Level() != level {
-		return false, nil
+		return false
 	}
 	minKey, maxKey, ok, err := minMaxKeys(child)
 	if err != nil {
 		// Structurally unreadable items: treat as inconsistent and let
 		// repair rebuild the page rather than failing the operation.
-		return false, nil
+		return false
 	}
-	if !ok {
-		// An empty page cannot be range-checked; pages produced by
-		// splits are never empty, so this is a page legitimately
-		// emptied by deletions.
-		return true, nil
-	}
-	if !keyInRange(minKey, lo, hi) || !keyInRange(maxKey, lo, hi) {
-		return false, nil
-	}
-	return true, nil
-}
-
-// findLeaf performs a read-only descent and returns the pinned leaf frame
-// and its expected range; ok is false for an empty tree.
-func (t *Tree) findLeaf(key []byte, repair bool) (f *buffer.Frame, no uint32, lo, hi []byte, ok bool, err error) {
-	path, err := t.descendPath(key, repair)
-	if err != nil {
-		return nil, 0, nil, nil, false, err
-	}
-	if path == nil {
-		return nil, 0, nil, nil, false, nil
-	}
-	leaf := path[len(path)-1]
-	// Keep only the leaf pinned; the entry value copy keeps its cloned
-	// bounds valid after the slice is recycled.
-	for _, e := range path[:len(path)-1] {
-		e.frame.Unpin()
-	}
-	putPath(path)
-	return leaf.frame, leaf.no, leaf.lo, leaf.hi, true, nil
+	// An empty page cannot be range-checked; pages produced by splits are
+	// never empty, so this is a page legitimately emptied by deletions.
+	return !ok || keyInRange(minKey, lo, hi) && keyInRange(maxKey, lo, hi)
 }
 
 // Lookup returns the value stored under key. Concurrent lookups run in
@@ -339,24 +287,14 @@ func (t *Tree) LookupInto(key, dst []byte) ([]byte, error) {
 	t.Stats.Lookups.Add(1)
 	for attempt := 0; attempt < maxSharedRetries; attempt++ {
 		t.mu.RLock()
-		ver := t.structVer.Load()
-		var (
-			val []byte
-			err error
-		)
-		if ver%2 != 0 {
-			err = errRetryShared // split in flight: snapshot again
-		} else {
-			val, err = t.lookupShared(key, dst, ver)
-		}
+		val, err := t.lookupShared(key, dst, t.structVer.Load())
 		t.mu.RUnlock()
 		if errors.Is(err, errRetryShared) {
 			t.obs.Count(obs.LatchRetry)
 			retryBackoff(attempt)
 			continue
 		}
-		if errors.Is(err, errNeedsExclusive) || errors.Is(err, errNeedsRepair) ||
-			errors.Is(err, buffer.ErrQuarantined) {
+		if errors.Is(err, errNeedsExclusive) || errors.Is(err, buffer.ErrQuarantined) {
 			// Quarantine errors fall through too: the exclusive descent
 			// attaches the prescribed key range to the typed error.
 			break
@@ -367,30 +305,31 @@ func (t *Tree) LookupInto(key, dst []byte) ([]byte, error) {
 	t.obs.Count(obs.ExclusiveFallback)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	val, err := t.lookupLocked(key, true)
+	val, err := t.lookupLocked(key)
 	if err != nil || dst == nil {
 		return val, err
 	}
 	return append(dst, val...), nil
 }
 
-func (t *Tree) lookupLocked(key []byte, repair bool) ([]byte, error) {
-	f, _, _, _, ok, err := t.findLeaf(key, repair)
+func (t *Tree) lookupLocked(key []byte) ([]byte, error) {
+	path, err := t.descendPath(key)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if path == nil {
 		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	defer f.Unpin()
-	pos, found, err := leafSearch(f.Data, key)
+	defer releasePath(path)
+	leaf := path[len(path)-1].frame.Data
+	pos, found, err := leafSearch(leaf, key)
 	if err != nil {
 		return nil, err
 	}
 	if !found {
 		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	_, v, err := decodeLeafItem(f.Data.Item(pos))
+	_, v, err := decodeLeafItem(leaf.Item(pos))
 	if err != nil {
 		return nil, err
 	}
