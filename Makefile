@@ -51,10 +51,14 @@ quarantine:
 	$(GO) test ./internal/btree -run 'TestDegradedScan|TestHealQuarantined'
 	$(GO) test ./internal/core -run 'TestHealth|TestSupervisor'
 
-# Crash-during-recovery hardening: the in-process idempotence tests plus a
-# few fastrec-crash rounds that crash again while repair is in flight.
+# Crash-during-recovery hardening: the in-process idempotence tests, the
+# multi-epoch crash fuzzer under the race detector (the race leg runs
+# -short, which skips it; its seed list keeps the seeds that caught a peer
+# verification trusted across crash epochs), plus a few fastrec-crash
+# rounds that crash again while repair is in flight.
 nested-faults:
 	$(GO) test ./internal/btree -run 'NestedCrash'
+	$(GO) test -race ./internal/btree -run 'TestCrashFuzz$$'
 	$(GO) run ./cmd/fastrec-crash -variant shadow -rounds 3 -nested-faults -seed 1
 	$(GO) run ./cmd/fastrec-crash -variant reorg -rounds 3 -nested-faults -faults -seed 1
 
@@ -107,13 +111,18 @@ shard-smoke:
 # scan stays within its bound, and a one-tree index scan allocates no more
 # than its tree's scan), batched inserts racing
 # point inserts under the race detector, the scan-resistant eviction tests
-# (including the exact legacy-clock fallback for tiny stripes), and the
-# batched MPUT verb end to end over TCP.
+# (including the exact legacy-clock fallback for tiny stripes), the pool's
+# dirty list under the race detector (a flush writes exactly what a scan
+# of the stripes finds dirty, failed writes are retried, the list stays
+# bounded, helpers start only for large flushes, concurrent writers lose no
+# update), a one-row commit forcing only its own pages, and the batched
+# MPUT verb end to end over TCP.
 hotpath-smoke:
 	$(GO) test ./internal/btree -run 'ZeroAllocs|TestScanAllocs|TestInsertBatch|TestLookupInto'
-	$(GO) test ./internal/core -run TestOneTreeScanAllocs
+	$(GO) test ./internal/core -run 'TestOneTreeScanAllocs|TestCommitForceWritesOnlyDirtied'
 	$(GO) test -race ./internal/btree -run TestInsertBatchConcurrent
 	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool|TestSetLegacy'
+	$(GO) test -race ./internal/buffer -run 'TestDirtyList|TestFlush'
 	$(GO) test -race ./internal/server -run TestServerMput
 
 # The hot-path measurement suite behind BENCH_hotpath.json (see

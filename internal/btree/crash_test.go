@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -618,13 +619,18 @@ func TestCommittedDeletesStayDeleted(t *testing.T) {
 // random inserts, random commit points, and crashes that persist random
 // subsets of the pending writes — asserting after every crash that the
 // last committed key set is fully recoverable and the tree stays valid.
+//
+// Seeds 2 (reorg: "peer tokens disagree"), 24 and 29 (shadow and hybrid:
+// a leaf's right peer skipping the page a lost split left behind) failed
+// while a FlagPeerVerified set in one crash epoch was trusted after the
+// next crash; they stay in the list.
 func TestCrashFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash fuzzing is slow")
 	}
 	for _, v := range protectedVariants {
 		t.Run(v.String(), func(t *testing.T) {
-			for seed := int64(0); seed < 6; seed++ {
+			for _, seed := range []int64{0, 1, 2, 3, 4, 5, 24, 29} {
 				fuzzOnce(t, v, seed, storage.NewMemDisk())
 			}
 		})
@@ -703,14 +709,19 @@ func fuzzOnce(t *testing.T, v Variant, seed int64, d storage.Crasher) {
 				// index entries inside an active transaction — the
 				// vacuum does it after commit — so "uncommitted
 				// index delete" has no stronger contract.
+				// The key comes from the seeded rng over the sorted
+				// keys, not from map order, so a seed replays exactly.
+				keys := make([]int, 0, len(tentative))
 				for k := range tentative {
-					if err := tr.Delete(u32key(k)); err != nil {
-						t.Fatalf("seed %d round %d: delete %d: %v", seed, round, k, err)
-					}
-					delete(tentative, k)
-					delete(committed, k)
-					break
+					keys = append(keys, k)
 				}
+				slices.Sort(keys)
+				k := keys[rng.Intn(len(keys))]
+				if err := tr.Delete(u32key(k)); err != nil {
+					t.Fatalf("seed %d round %d: delete %d: %v", seed, round, k, err)
+				}
+				delete(tentative, k)
+				delete(committed, k)
 			}
 			if rng.Intn(200) == 0 {
 				if err := tr.Sync(); err != nil {

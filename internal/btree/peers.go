@@ -29,6 +29,7 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 	// Clear the suspect bit up front so the cascade below cannot revisit
 	// this page.
 	p.AddFlag(page.FlagPeerVerified)
+	p.SetVerifiedEpoch(uint32(t.counter.LastCrash()))
 	p.ClearFlag(page.FlagPeerSuspect)
 	leaf.frame.MarkDirty()
 
@@ -129,7 +130,15 @@ func (t *Tree) needsPeerVerify(p page.Page) bool {
 	if p.HasFlag(page.FlagPeerSuspect) {
 		return true
 	}
-	return p.SyncToken() < t.counter.LastCrash() && !p.HasFlag(page.FlagPeerVerified)
+	return p.SyncToken() < t.counter.LastCrash() && !t.peerVerified(p)
+}
+
+// peerVerified reports whether the leaf's peer path was verified since the
+// most recent crash. The flag alone does not say so: it reaches the disk
+// with the page and outlives later crashes, any of which can lose a
+// neighbor's split and leave this leaf's links pointing past the new page.
+func (t *Tree) peerVerified(p page.Page) bool {
+	return p.HasFlag(page.FlagPeerVerified) && p.VerifiedEpoch() == uint32(t.counter.LastCrash())
 }
 
 // internalSearchPred returns the largest entry whose separator is strictly

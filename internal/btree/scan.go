@@ -90,7 +90,7 @@ func (t *Tree) walkLocked(start, end []byte, skip bool, fn func(key, value []byt
 		leaf := leafOf(path)
 		if fn == nil {
 			p := leaf.frame.Data
-			if t.protected() && (!p.HasFlag(page.FlagPeerVerified) || p.HasFlag(page.FlagPeerSuspect)) {
+			if t.protected() && (!t.peerVerified(p) || p.HasFlag(page.FlagPeerSuspect)) {
 				err = t.verifyPeerPath(&leaf)
 			}
 			leaf.frame.Unpin()

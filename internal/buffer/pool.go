@@ -3,7 +3,9 @@
 // Frames hold page images, carry pin counts and per-frame read/write
 // latches (the locks of the Lehman-Yao protocol in §3.6), and track
 // dirtiness. SyncAll hands every dirty page to the storage layer and then
-// issues the unordered sync of §2. Remap implements step (5) of the
+// issues the unordered sync of §2; the pool keeps a list of the frames
+// dirtied since the last flush, so that force costs what was written, not
+// the size of the pool. Remap implements step (5) of the
 // page-reorganization split: an in-memory-only page is remapped to another
 // page's disk location, so the next sync overwrites the original.
 //
@@ -21,10 +23,11 @@
 package buffer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,6 +181,22 @@ type Pool struct {
 	// recorder is the optional observability sink (nil = disabled); swapped
 	// atomically like the retry policy so SetObs never races page I/O.
 	recorder atomic.Pointer[obs.Recorder]
+
+	// dirtyList holds every frame that went clean->dirty since the last
+	// flush took the list (Frame.listed marks membership, so a frame is
+	// listed at most once). Entries whose frame was since cleaned, dropped,
+	// evicted or invalidated stay until a flush takes them or
+	// pruneDirtyLocked drops them. dirtySpare is the emptied list of the last flush, reused so the
+	// steady state allocates nothing. dirtyMu is a leaf lock: nothing else
+	// is acquired under it.
+	dirtyMu    sync.Mutex
+	dirtyList  []*Frame
+	dirtySpare []*Frame
+
+	// flushMu serializes flushes of this pool: a flush that found the list
+	// empty must not return (and let its caller sync) while another flush
+	// is still writing the frames it took.
+	flushMu sync.Mutex
 }
 
 // Frame is a buffered page. The page contents must only be accessed while
@@ -200,6 +219,9 @@ type Frame struct {
 
 	// valid is protected by the owning partition's mutex.
 	valid bool
+	// listed records that the frame is on the pool's dirty list. Protected
+	// by the pool's dirtyMu.
+	listed bool
 	// seen is the correlated-reference filter for the segmented sweep:
 	// set when the probationary hand finds the frame referenced, so that
 	// promotion to the protected segment requires the reference bit on two
@@ -518,11 +540,13 @@ func (p *Pool) routeNeverDurable(no storage.PageNo, f *Frame, cause string) erro
 // unlatched under the pin-before-latch discipline), flushing pins the
 // frame and holds its RLatch. The dirty bit is cleared before the write;
 // MarkDirty requires the frame's write latch in concurrent contexts, so a
-// post-flush modification re-marks it without a lost update.
+// post-flush modification re-marks it without a lost update. A failed write
+// leaves the frame dirty and back on the dirty list for the next flush.
 func (p *Pool) writeFrame(f *Frame) error {
 	f.dirty.Store(false)
 	if err := p.writePageRetry(f.pageNo, f.Data); err != nil {
 		f.dirty.Store(true)
+		p.listDirty(f)
 		return err
 	}
 	if f.zeroRouted {
@@ -804,8 +828,44 @@ func (f *Frame) PageNo() storage.PageNo { return f.pageNo }
 
 // MarkDirty records that the frame must be written before the next sync.
 // When other goroutines may access the pool concurrently the caller must
-// hold the frame's write latch, so flush cannot lose the update.
-func (f *Frame) MarkDirty() { f.dirty.Store(true) }
+// hold the frame's write latch, so flush cannot lose the update. Only the
+// clean->dirty transition touches the dirty list; a detached frame is
+// listed when Remap gives it a disk identity.
+func (f *Frame) MarkDirty() {
+	if !f.dirty.Swap(true) && f.pageNo != detachedPageNo {
+		f.pool.listDirty(f)
+	}
+}
+
+// listDirty puts f on the dirty list unless it is already there.
+func (p *Pool) listDirty(f *Frame) {
+	p.dirtyMu.Lock()
+	if !f.listed {
+		if len(p.dirtyList) >= 2*p.capacity {
+			p.pruneDirtyLocked()
+		}
+		f.listed = true
+		p.dirtyList = append(p.dirtyList, f)
+	}
+	p.dirtyMu.Unlock()
+}
+
+// pruneDirtyLocked drops the entries whose frame is clean again — written
+// by an evictor, dropped, invalidated — keeping the list within about twice
+// the pool's capacity when no flush takes it: what is left is at most the
+// resident dirty frames. With dirtyMu held.
+func (p *Pool) pruneDirtyLocked() {
+	kept := p.dirtyList[:0]
+	for _, f := range p.dirtyList {
+		if f.dirty.Load() {
+			kept = append(kept, f)
+		} else {
+			f.listed = false
+		}
+	}
+	clear(p.dirtyList[len(kept):])
+	p.dirtyList = kept
+}
 
 // RLatch acquires the frame's shared latch.
 func (f *Frame) RLatch() { f.latch.RLock() }
@@ -842,9 +902,9 @@ func (p *Pool) Remap(f *Frame, no storage.PageNo) {
 	}
 	pt := p.part(no)
 	pt.mu.Lock()
-	defer pt.mu.Unlock()
 	if old, ok := pt.frames[no]; ok && old != f {
 		old.valid = false
+		old.dirty.Store(false)
 		pt.unlistLocked(old)
 		delete(pt.frames, no)
 	}
@@ -852,6 +912,8 @@ func (p *Pool) Remap(f *Frame, no storage.PageNo) {
 	f.dirty.Store(true)
 	pt.frames[no] = f
 	pt.clock = append(pt.clock, f)
+	pt.mu.Unlock()
+	p.listDirty(f)
 }
 
 // WriteBypass writes a complete page image straight through to storage
@@ -881,107 +943,144 @@ func (p *Pool) Drop(no storage.PageNo) {
 	}
 }
 
-// flushDirty writes every dirty frame to the OS cache without syncing.
-// Each frame is written under its shared latch, so a concurrent writer
-// (which mutates only under the frame's write latch) can never interleave
-// with the page image being copied out.
+// flushDirty writes every dirty frame to the OS cache without syncing: the
+// write half of the §2 force. It costs what was dirtied, not what is
+// cached.
 //
-// Frames are pinned one at a time, only for the duration of their own
-// write: pinning the whole dirty set up front would leave concurrent Gets
-// with no evictable frames for the length of the flush — §3.4 blocked
-// syncs run while shared-mode operations continue, and on a slow device
-// the window is long enough to starve an entire stripe. A frame evicted
-// between the snapshot and its turn has already been written by the
-// evictor, so skipping it loses nothing.
+//   - The work list is the dirty list, taken whole: every frame that went
+//     clean->dirty since the last flush and is still dirty. An entry is
+//     written only if, under its stripe mutex, the frame is still valid
+//     and still the one mapped at its page, and then only if it is still
+//     dirty when latched. A frame evicted since it was listed was written
+//     by the evictor; a dropped or invalidated one must not be written.
+//   - Writes are issued in page order from the calling goroutine. The §2
+//     sync is unordered, so the writes may also overlap: a flush larger
+//     than one worker's share (flushShare pages) starts one helper
+//     goroutine per further share, up to flushWorkers in all. A commit
+//     force of a handful of pages never leaves the caller; a daemon,
+//     recovery or blocked-sync flush (§3.4) keeps its device overlap.
+//   - Each frame is written under its shared latch, so a concurrent writer
+//     (which mutates only under the write latch) can never interleave with
+//     the image being copied out, and it is pinned only for its own write:
+//     pinning the whole set up front would leave concurrent Gets no
+//     evictable frames for the length of a blocked sync.
+//   - On a write error the flush stops; every frame it took that is still
+//     dirty goes back on the list, so the next flush writes it.
 func (p *Pool) flushDirty() error {
-	if r := p.rec(); r != nil {
-		start := time.Now()
-		defer func() { r.Observe(obs.TFlushDirty, time.Since(start)) }()
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	r := p.rec()
+	var start time.Time
+	if r != nil {
+		start = time.Now()
 	}
-	type target struct {
-		pt *partition
-		no storage.PageNo
-	}
-	var targets []target
-	for _, pt := range p.parts {
-		pt.mu.Lock()
-		for no, f := range pt.frames {
-			if f.dirty.Load() {
-				targets = append(targets, target{pt, no})
-			}
-		}
-		pt.mu.Unlock()
-	}
+	frames := p.takeDirty()
 	// Deterministic issue order keeps tests reproducible; the storage
 	// layer still provides no durability ordering (and the crash layer
 	// reports pending pages sorted, not in write order).
-	sort.Slice(targets, func(i, j int) bool { return targets[i].no < targets[j].no })
-	if len(targets) == 0 {
-		return nil
-	}
-
-	// The §2 sync is unordered, so the writes of one flush may overlap
-	// each other: on a device with real per-page latency, issuing them
-	// from one goroutine would cost len(targets) sequential round trips —
-	// the dominant term of a blocked sync (§3.4), which shared-mode
-	// operations wait out behind the split lock.
-	nw := flushWorkers
-	if nw > len(targets) {
-		nw = len(targets)
-	}
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	for w := 0; w < nw; w++ {
+	slices.SortFunc(frames, func(a, b *Frame) int { return cmp.Compare(a.pageNo, b.pageNo) })
+	fl := &flushRun{pool: p, frames: frames}
+	workers := min(flushWorkers, (len(frames)+flushShare-1)/flushShare)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(targets) {
-					return
-				}
-				tg := targets[i]
-				tg.pt.mu.Lock()
-				f, ok := tg.pt.frames[tg.no]
-				if ok {
-					f.pins.Add(1)
-				}
-				tg.pt.mu.Unlock()
-				if !ok {
-					continue // evicted since the snapshot: the evictor wrote it
-				}
-				f.RLatch()
-				if f.dirty.Load() && !failed() {
-					if err := p.writeFrame(f); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-					}
-				}
-				f.RUnlatch()
-				f.Unpin()
-			}
+			fl.work()
 		}()
 	}
+	fl.work()
 	wg.Wait()
-	return firstErr
+	var err error
+	if e := fl.err.Load(); e != nil {
+		err = *e
+		for _, f := range frames {
+			if f.dirty.Load() {
+				p.listDirty(f)
+			}
+		}
+	}
+	p.dirtyMu.Lock()
+	clear(frames)
+	p.dirtySpare = frames[:0]
+	p.dirtyMu.Unlock()
+	if r != nil {
+		r.CountN(obs.FlushPage, uint64(fl.written.Load()))
+		if workers > 1 {
+			r.CountN(obs.FlushHelper, uint64(workers-1))
+		}
+		r.Observe(obs.TFlushDirty, time.Since(start))
+	}
+	return err
 }
 
-// flushWorkers bounds the write concurrency of one flushDirty call. The
-// value trades device-queue depth against goroutine overhead; eight keeps
-// a latency-bound flush short without swamping a pure in-memory disk.
-const flushWorkers = 8
+// takeDirty empties the dirty list and returns the frames on it that are
+// still dirty. A frame cleaned since it was listed is left out: if it is
+// dirtied again it goes on the new list.
+func (p *Pool) takeDirty() []*Frame {
+	p.dirtyMu.Lock()
+	defer p.dirtyMu.Unlock()
+	p.pruneDirtyLocked()
+	frames := p.dirtyList
+	for _, f := range frames {
+		f.listed = false
+	}
+	p.dirtyList, p.dirtySpare = p.dirtySpare, nil
+	return frames
+}
+
+// flushRun is one flushDirty call's shared state: the sorted frames, the
+// next index to claim, the pages written and the first write error.
+type flushRun struct {
+	pool          *Pool
+	frames        []*Frame
+	next, written atomic.Int64
+	err           atomic.Pointer[error]
+}
+
+// work claims frames in order and writes each one that is still live and
+// dirty, until the frames run out or a write fails.
+func (fl *flushRun) work() {
+	p := fl.pool
+	for fl.err.Load() == nil {
+		i := int(fl.next.Add(1)) - 1
+		if i >= len(fl.frames) {
+			return
+		}
+		f := fl.frames[i]
+		pt := p.part(f.pageNo)
+		pt.mu.Lock()
+		live := f.valid && pt.frames[f.pageNo] == f
+		if live {
+			f.pins.Add(1)
+		}
+		pt.mu.Unlock()
+		if !live {
+			continue
+		}
+		f.RLatch()
+		if f.dirty.Load() {
+			if err := p.writeFrame(f); err != nil {
+				fl.err.CompareAndSwap(nil, &err)
+			} else {
+				fl.written.Add(1)
+			}
+		}
+		f.RUnlatch()
+		f.Unpin()
+	}
+}
+
+// flushWorkers bounds the write concurrency of one flushDirty call, and
+// flushShare is one worker's share of its pages: a flush of n pages runs
+// ceil(n/flushShare) workers, at most flushWorkers. Eight keeps a
+// latency-bound flush short without swamping a pure in-memory disk; below
+// a share, starting and joining a goroutine costs more than the writes it
+// would overlap.
+const (
+	flushWorkers = 8
+	flushShare   = 16
+)
 
 // FlushDirty writes every dirty frame to the OS cache without syncing.
 func (p *Pool) FlushDirty() error { return p.flushDirty() }

@@ -63,10 +63,12 @@ const (
 	ExclusiveFallback // shared path gave up; operation re-ran exclusively
 
 	// Buffer pool and disk.
-	ZeroRoute  // damaged read routed to the zeroed never-durable image
-	TornRepair // previously zero-routed page rewritten with valid contents
-	EvictClean // clean frame evicted under pool pressure
-	EvictDirty // dirty frame written back to make room
+	ZeroRoute   // damaged read routed to the zeroed never-durable image
+	TornRepair  // previously zero-routed page rewritten with valid contents
+	EvictClean  // clean frame evicted under pool pressure
+	EvictDirty  // dirty frame written back to make room
+	FlushPage   // page written by a dirty-page flush
+	FlushHelper // helper goroutine started by a flush larger than one worker's share
 
 	// Fault-disk injections (cause side of the cause/repair pairing).
 	InjectTransient
@@ -141,6 +143,8 @@ var metricNames = [numMetrics]string{
 	TornRepair:        "io.tornrepair",
 	EvictClean:        "pool.evict.clean",
 	EvictDirty:        "pool.evict.dirty",
+	FlushPage:         "pool.flush.page",
+	FlushHelper:       "pool.flush.helper",
 	InjectTransient:   "inject.transient",
 	InjectBitRot:      "inject.bitrot",
 	InjectTorn:        "inject.torn",

@@ -83,7 +83,9 @@ const (
 	FlagShadow uint16 = 1 << 0
 	// FlagPeerVerified marks a leaf that has been confirmed to be linked
 	// into the most recent peer-pointer path after a crash (§3.5.1:
-	// "Once this is done, we can mark the page to avoid rechecking").
+	// "Once this is done, we can mark the page to avoid rechecking"). The
+	// mark holds only for the crash epoch named by VerifiedEpoch: a later
+	// crash can break the chain again.
 	FlagPeerVerified uint16 = 1 << 1
 	// FlagPeerSuspect marks a leaf rebuilt by crash recovery: its peer
 	// links were restored from a pre-split image and the chain into it
@@ -117,7 +119,7 @@ const (
 	offUpper     = 50 // uint16 start of the item area
 	offSpecial   = 52 // uint32 variant-specific
 	offChecksum  = 56 // uint32 CRC-32C over the page minus this field (format v2)
-	offReserved  = 60 // uint32
+	offVerified  = 60 // uint32 crash epoch of FlagPeerVerified (§3.5.1)
 
 	// HeaderSize is the number of bytes before the line table.
 	HeaderSize = 64
@@ -194,6 +196,13 @@ func (p Page) SyncToken() uint64 { return binary.LittleEndian.Uint64(p[offSyncTo
 
 // SetSyncToken records the page's sync token.
 func (p Page) SetSyncToken(t uint64) { binary.LittleEndian.PutUint64(p[offSyncToken:], t) }
+
+// VerifiedEpoch returns the low 32 bits of the last-crash sync token that
+// was current when the leaf's peer path was verified.
+func (p Page) VerifiedEpoch() uint32 { return binary.LittleEndian.Uint32(p[offVerified:]) }
+
+// SetVerifiedEpoch records the crash epoch of a peer-path verification.
+func (p Page) SetVerifiedEpoch(e uint32) { binary.LittleEndian.PutUint32(p[offVerified:], e) }
 
 // NKeys returns the number of live line-table entries.
 func (p Page) NKeys() int { return int(binary.LittleEndian.Uint16(p[offNKeys:])) }

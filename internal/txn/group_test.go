@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -759,3 +760,46 @@ type failSyncer struct{ err error }
 func (f *failSyncer) Sync() error { return f.err }
 
 var errDeviceGone = errors.New("txn_test: device gone")
+
+// TestStatusAppendMatchesOrder: status appends encode only their new
+// entries into kept page images, so after every successful commit the
+// table on disk must decode to exactly the commit order — across the
+// page-0 spill boundary, after failed status writes whose entries linger
+// in the images past the count, and after reopens that load the images
+// back from disk.
+func TestStatusAppendMatchesOrder(t *testing.T) {
+	d := &syncFailDisk{Disk: storage.NewMemDisk()}
+	m, err := OpenManager(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []heap.XID{1}
+	devErr := errors.New("status device unavailable")
+	for i := 0; i < xidsPerFirstPage+xidsPerPage+50; i++ {
+		if i%97 == 13 {
+			d.arm(devErr)
+			if err := m.Begin().Commit(); !errors.Is(err, devErr) {
+				t.Fatalf("commit %d over a failing device: %v", i, err)
+			}
+			d.arm(nil)
+		}
+		if i%400 == 399 {
+			if m, err = OpenManager(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx := m.Begin()
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		want = append(want, tx.XID())
+		got, err := OpenManager(d.Disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.order, want) {
+			t.Fatalf("after commit %d the table decodes to %d entries, want %d (last %v, want %v)",
+				i, len(got.order), len(want), got.order[len(got.order)-1], want[len(want)-1])
+		}
+	}
+}

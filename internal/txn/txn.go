@@ -90,6 +90,12 @@ type Manager struct {
 
 	gc groupCommitter
 
+	// images are the status table's page images, kept in step with order
+	// so an append encodes only its new entries. They belong to the commit
+	// leader (one at a time, handed over under gc.mu) and to
+	// single-threaded bootstrap.
+	images []page.Page
+
 	// Test hooks, fired by the commit leader. Set before concurrent use.
 	hookAfterForce    func(batch []heap.XID) // between batched force and status write
 	hookAfterTailSync func()                 // between continuation-page sync and page-0 write
@@ -132,16 +138,16 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 	if disk.NumPages() == 0 {
 		return m, m.persistAll()
 	}
-	buf := page.GetScratch()
-	defer page.PutScratch(buf)
-	if err := disk.ReadPage(0, buf); err != nil {
+	img := page.New()
+	if err := disk.ReadPage(0, img); err != nil {
 		return nil, err
 	}
-	if buf.IsZeroed() {
+	if img.IsZeroed() {
 		return m, m.persistAll()
 	}
-	next := getU64(buf[statusBase:])
-	count := getU64(buf[statusBase+8:])
+	m.images = append(m.images, img)
+	next := getU64(img[statusBase:])
+	count := getU64(img[statusBase+8:])
 	if next > uint64(m.nextXID) {
 		m.nextXID = heap.XID(next)
 	}
@@ -157,12 +163,14 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 			if pageNo >= disk.NumPages() {
 				return nil, fmt.Errorf("txn: status table truncated at %d/%d xids", read, count)
 			}
-			if err := disk.ReadPage(pageNo, buf); err != nil {
+			img = page.New()
+			if err := disk.ReadPage(pageNo, img); err != nil {
 				return nil, err
 			}
+			m.images = append(m.images, img)
 			off = statusBase
 		}
-		x := heap.XID(getU64(buf[off:]))
+		x := heap.XID(getU64(img[off:]))
 		m.committed[x] = 0
 		m.order = append(m.order, x)
 		off += 8
@@ -318,11 +326,12 @@ func (m *Manager) runBatch(batch []*commitReq) {
 
 	// Step 1: the batched force. Each Syncer is forced once no matter how
 	// many batch members touched it — legal because the §2 sync is
-	// unordered and covers every dirty page regardless of owner. The
-	// distinct Syncers are collected first, then forced in parallel
-	// goroutines: nothing orders one object's unordered sync against
-	// another's, and with sharded indexes a batch routinely spans several
-	// independent sync domains whose device flushes overlap.
+	// unordered and covers every dirty page regardless of owner. Nothing
+	// orders one object's unordered sync against another's, so with
+	// several distinct Syncers (a heap and its index, or the independent
+	// sync domains of a sharded index) the leader forces the first itself
+	// and fans the others out to goroutines whose device flushes overlap
+	// its own; a batch with one Syncer never leaves the leader.
 	forced := make(map[Syncer]error)
 	var distinct []Syncer
 	for _, r := range batch {
@@ -335,21 +344,20 @@ func (m *Manager) runBatch(batch []*commitReq) {
 			distinct = append(distinct, s)
 		}
 	}
-	switch len(distinct) {
-	case 0:
-	case 1:
-		forced[distinct[0]] = distinct[0].Sync()
-	default:
-		m.obs.Count(obs.CommitFanout)
+	if len(distinct) > 0 {
 		errs := make([]error, len(distinct))
 		var wg sync.WaitGroup
-		for i, s := range distinct {
-			wg.Add(1)
-			go func(i int, s Syncer) {
-				defer wg.Done()
-				errs[i] = s.Sync()
-			}(i, s)
+		if len(distinct) > 1 {
+			m.obs.Count(obs.CommitFanout)
 		}
+		for i := 1; i < len(distinct); i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = distinct[i].Sync()
+			}(i)
+		}
+		errs[0] = distinct[0].Sync()
 		wg.Wait()
 		for i, s := range distinct {
 			forced[s] = errs[i]
@@ -391,10 +399,10 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	if len(xids) > 0 {
 		m.mu.Lock()
 		m.order = append(m.order, xids...)
-		pages := m.encodeLocked(len(xids))
+		tail := m.encodeLocked(len(xids))
 		m.mu.Unlock()
 
-		if err := m.writeStatus(pages); err != nil {
+		if err := m.writeStatus(tail); err != nil {
 			m.mu.Lock()
 			m.order = m.order[:len(m.order)-len(xids)]
 			m.mu.Unlock()
@@ -419,50 +427,39 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	m.mu.Unlock()
 }
 
-// statusPage is one page image of the status table, ready to write.
-type statusPage struct {
-	no  storage.PageNo
-	img page.Page
+// encodeLocked stages an append of the last nNew entries of m.order in the
+// status images: it writes only the new XIDs at their fixed positions and
+// page 0's header (XID high-water mark and count), and returns the
+// continuation pages the append touched, ascending (nNew == len(order)
+// encodes the whole table). Called with m.mu held; does no I/O. An image
+// may hold entries past the count after a failed status write rolled the
+// order back; the count decides what is read, and the next append
+// overwrites them.
+func (m *Manager) encodeLocked(nNew int) []storage.PageNo {
+	total := len(m.order)
+	var tail []storage.PageNo
+	for i := total - nNew; i < total; i++ {
+		no, off := xidPos(i)
+		putU64(m.statusImage(no)[off:], uint64(m.order[i]))
+		if no != 0 && (len(tail) == 0 || tail[len(tail)-1] != no) {
+			tail = append(tail, no)
+		}
+	}
+	hdr := m.statusImage(0)
+	putU64(hdr[statusBase:], uint64(m.nextXID))
+	putU64(hdr[statusBase+8:], uint64(total))
+	return tail
 }
 
-// encodeLocked builds the dirty page images for an append of the last
-// nNew entries of m.order (nNew == len(order) rebuilds the whole table).
-// Called with m.mu held; does no I/O. Pages are rebuilt wholesale from
-// the order slice — entry positions are a pure function of index, so a
-// rebuilt page is byte-identical to the incremental result.
-func (m *Manager) encodeLocked(nNew int) []statusPage {
-	total := len(m.order)
-	first := total - nNew
-
-	dirty := map[storage.PageNo]bool{0: true} // page 0 always: count and nextXID
-	for i := first; i < total; i++ {
-		no, _ := xidPos(i)
-		dirty[no] = true
+// statusImage returns the image of status page no, formatting any missing
+// pages up to it.
+func (m *Manager) statusImage(no storage.PageNo) page.Page {
+	for int(no) >= len(m.images) {
+		img := page.New()
+		img.Init(page.TypeMeta, 0)
+		m.images = append(m.images, img)
 	}
-
-	var pages []statusPage
-	for no := range dirty {
-		buf := page.New()
-		buf.Init(page.TypeMeta, 0)
-		var lo, hi int
-		if no == 0 {
-			putU64(buf[statusBase:], uint64(m.nextXID))
-			putU64(buf[statusBase+8:], uint64(total))
-			lo, hi = 0, xidsPerFirstPage
-		} else {
-			lo = xidsPerFirstPage + int(no-1)*xidsPerPage
-			hi = lo + xidsPerPage
-		}
-		if hi > total {
-			hi = total
-		}
-		for i := lo; i < hi; i++ {
-			_, off := xidPos(i)
-			putU64(buf[off:], uint64(m.order[i]))
-		}
-		pages = append(pages, statusPage{no: no, img: buf})
-	}
-	return pages
+	return m.images[no]
 }
 
 // writeStatus makes an encoded status append durable. The write is
@@ -480,21 +477,14 @@ func (m *Manager) encodeLocked(nNew int) []statusPage {
 //
 // A batch that fits on page 0 (the common case early in a file's life)
 // costs one page write and one sync.
-func (m *Manager) writeStatus(pages []statusPage) error {
+func (m *Manager) writeStatus(tail []storage.PageNo) error {
 	start := time.Now()
-	var firstPg *statusPage
-	wroteTail := false
-	for i := range pages {
-		if pages[i].no == 0 {
-			firstPg = &pages[i]
-			continue
-		}
-		if err := m.disk.WritePage(pages[i].no, pages[i].img); err != nil {
+	for _, no := range tail {
+		if err := m.disk.WritePage(no, m.images[no]); err != nil {
 			return err
 		}
-		wroteTail = true
 	}
-	if wroteTail {
+	if len(tail) > 0 {
 		if err := m.disk.Sync(); err != nil {
 			return err
 		}
@@ -502,10 +492,7 @@ func (m *Manager) writeStatus(pages []statusPage) error {
 	if m.hookAfterTailSync != nil {
 		m.hookAfterTailSync()
 	}
-	if firstPg == nil {
-		return errors.New("txn: status encode produced no page 0")
-	}
-	if err := m.disk.WritePage(0, firstPg.img); err != nil {
+	if err := m.disk.WritePage(0, m.images[0]); err != nil {
 		return err
 	}
 	if err := m.disk.Sync(); err != nil {
@@ -519,9 +506,9 @@ func (m *Manager) writeStatus(pages []statusPage) error {
 // bootstrap (OpenManager on a fresh or zeroed file).
 func (m *Manager) persistAll() error {
 	m.mu.Lock()
-	pages := m.encodeLocked(len(m.order))
+	tail := m.encodeLocked(len(m.order))
 	m.mu.Unlock()
-	return m.writeStatus(pages)
+	return m.writeStatus(tail)
 }
 
 // Txn is one transaction. It records the storage it touched so commit can
