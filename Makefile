@@ -113,9 +113,10 @@ shard-smoke:
 # point inserts under the race detector, the scan-resistant eviction tests
 # (including the exact legacy-clock fallback for tiny stripes), the pool's
 # dirty list under the race detector (a flush writes exactly what a scan
-# of the stripes finds dirty, failed writes are retried, the list stays
-# bounded, helpers start only for large flushes, concurrent writers lose no
-# update), a one-row commit forcing only its own pages, and the batched
+# of the stripes finds dirty, failed writes are retried, the list holds
+# only resident frames, helpers follow the measured pace and start on a
+# device that waits per write, concurrent writers lose no update), a
+# one-row commit forcing only its own pages, and the batched
 # MPUT verb end to end over TCP.
 hotpath-smoke:
 	$(GO) test ./internal/btree -run 'ZeroAllocs|TestScanAllocs|TestInsertBatch|TestLookupInto'

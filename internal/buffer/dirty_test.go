@@ -246,6 +246,9 @@ func TestFlushWritesRemappedDetached(t *testing.T) {
 	}
 	p.Remap(f, 7)
 	f.Unpin()
+	if n := listLen(p); n != 1 {
+		t.Fatalf("dirty list holds %d entries after Remap, want 1 (the replaced frame leaves it)", n)
+	}
 	flushMatchesScan(t, p, d, "remap")
 	buf := page.New()
 	if err := d.ReadPage(7, buf); err != nil {
@@ -265,6 +268,9 @@ func TestFlushAfterInvalidateOrDropWritesNothing(t *testing.T) {
 		dirtyPage(t, p, no, 1)
 	}
 	p.InvalidateAll()
+	if n := listLen(p); n != 0 {
+		t.Fatalf("dirty list holds %d entries after InvalidateAll", n)
+	}
 	if err := p.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,6 +281,9 @@ func TestFlushAfterInvalidateOrDropWritesNothing(t *testing.T) {
 		dirtyPage(t, p, no, 2)
 		p.Drop(no)
 	}
+	if n := listLen(p); n != 0 {
+		t.Fatalf("dirty list holds %d entries after Drop", n)
+	}
 	if err := p.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +292,10 @@ func TestFlushAfterInvalidateOrDropWritesNothing(t *testing.T) {
 	}
 }
 
-// TestDirtyListBounded: with no flush at all, 10k cycles of dirtying pages
-// that eviction then writes back keep the list within about twice the
-// pool's capacity.
+// TestDirtyListBounded: with no flush at all, over 10k cycles of dirtying
+// pages that eviction then writes back and evicts, a frame leaves the list
+// as it leaves the pool, so the list never exceeds the pool's capacity and
+// ends holding only resident frames.
 func TestDirtyListBounded(t *testing.T) {
 	const capacity = 64
 	p, _ := newPoolDisk(capacity)
@@ -294,36 +304,120 @@ func TestDirtyListBounded(t *testing.T) {
 		dirtyPage(t, p, storage.PageNo(1+i%(4*capacity)), byte(i))
 		longest = max(longest, listLen(p))
 	}
-	if longest > 2*capacity {
+	if longest > capacity {
 		t.Fatalf("dirty list reached %d entries, capacity %d", longest, capacity)
 	}
-	if longest < capacity {
-		t.Fatalf("dirty list peaked at %d entries: eviction never left stale ones, test is vacuous", longest)
+	p.dirtyMu.Lock()
+	listed := slices.Clone(p.dirtyList)
+	p.dirtyMu.Unlock()
+	for i, f := range listed {
+		pt := p.part(f.pageNo)
+		pt.mu.RLock()
+		resident := f.valid && pt.frames[f.pageNo] == f
+		pt.mu.RUnlock()
+		if !resident || f.listIdx != i {
+			t.Fatalf("entry %d (page %d, listIdx %d): resident %v", i, f.pageNo, f.listIdx, resident)
+		}
+	}
+	if len(listed) < capacity/2 {
+		t.Fatalf("dirty list ends with %d entries: the pool never filled with dirty frames, test is vacuous", len(listed))
 	}
 }
 
-// TestFlushHelpersFollowFlushSize: a flush within one worker's share runs
-// on the caller alone; a larger one starts a helper per further share, up
-// to flushWorkers in all. pool.flush.page counts the pages written.
-func TestFlushHelpersFollowFlushSize(t *testing.T) {
-	for _, tc := range []struct{ pages, helpers int }{
-		{5, 0}, {flushShare, 0}, {flushShare + 1, 1}, {40, 2}, {200, flushWorkers - 1},
-	} {
-		rec := obs.New(0)
-		p, _ := newPoolDisk(256)
-		p.SetObs(rec)
-		for no := 1; no <= tc.pages; no++ {
-			dirtyPage(t, p, storage.PageNo(no), 1)
+// TestFlushHelpersFollowPace walks the helper rule: one page is always
+// written alone; the first multi-page flush runs with helpers and the
+// second probes the lone pace; then the faster mode wins until it has run
+// for probeShare times what a probe of the slower one costs. A probe's pace
+// replaces the old one; otherwise a pace drops to a faster sample at once
+// and rises toward a slower one gradually, so a mode that slows down
+// loses to the other without a probe.
+func TestFlushHelpersFollowPace(t *testing.T) {
+	type decision struct{ helped, probe bool }
+	p, _ := newPoolDisk(64)
+	decide := func(n int) decision {
+		h, pr := p.useHelpers(n)
+		return decision{h, pr}
+	}
+	if got := decide(1); got != (decision{}) {
+		t.Fatalf("one page: %+v", got)
+	}
+	if got := decide(2); got != (decision{true, true}) {
+		t.Fatalf("first multi-page flush: %+v, want a probe with helpers", got)
+	}
+	p.notePace(true, true, 100)
+	if got := decide(2); got != (decision{false, true}) {
+		t.Fatalf("second multi-page flush: %+v, want a lone probe", got)
+	}
+	p.notePace(false, true, 1000)
+	// Helpers run at 100 ns/page, alone at 1000: a lone probe costs 900
+	// more per page, so it comes after 100*900/100 flushes with helpers.
+	for i := 1; ; i++ {
+		got := decide(8)
+		if got.probe {
+			if got.helped || i != probeShare*900/100 {
+				t.Fatalf("probe at decision %d: %+v", i, got)
+			}
+			break
 		}
+		if !got.helped {
+			t.Fatalf("decision %d ran alone at pace %d vs %d helped", i, p.pace[0], p.pace[1])
+		}
+	}
+	p.notePace(false, true, 2000)
+	if p.pace[0] != 2000 {
+		t.Fatalf("a lone probe of 2000 ns/page left the lone pace at %d", p.pace[0])
+	}
+	p.notePace(true, false, 5000)
+	if p.pace[1] >= p.pace[0] {
+		t.Fatalf("one slow sample moved the helped pace to %d, past the lone %d", p.pace[1], p.pace[0])
+	}
+	for p.pace[1] <= p.pace[0] {
+		p.notePace(true, false, 5000)
+	}
+	if got := decide(8); got.helped {
+		t.Fatalf("helpers chosen at pace %d vs %d alone", p.pace[1], p.pace[0])
+	}
+	p.notePace(true, false, 50)
+	if p.pace[1] != 50 {
+		t.Fatalf("a fast sample left the helped pace at %d", p.pace[1])
+	}
+	if got := decide(8); !got.helped {
+		t.Fatalf("helpers not chosen at pace %d vs %d alone", p.pace[1], p.pace[0])
+	}
+}
+
+// TestFlushHelpersOnWaitingDevice: on a device that waits a millisecond
+// per write, every flush of eight pages runs with helpers — the second
+// only after writing its first page alone, to measure the lone pace — and
+// every flushed page is counted once.
+func TestFlushHelpersOnWaitingDevice(t *testing.T) {
+	const (
+		pages   = 8
+		flushes = 12
+	)
+	rec := obs.New(0)
+	p, d := newPoolDisk(64)
+	p.SetObs(rec)
+	d.SetLatency(0, time.Millisecond)
+	for i := 0; i < flushes; i++ {
+		for no := 1; no <= pages; no++ {
+			dirtyPage(t, p, storage.PageNo(no), byte(i))
+		}
+		h0 := rec.Get(obs.FlushHelper)
 		if err := p.FlushDirty(); err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.Get(obs.FlushPage); got != uint64(tc.pages) {
-			t.Errorf("%d pages: pool.flush.page = %d", tc.pages, got)
+		want := uint64(pages - 1)
+		if i == 1 {
+			want = pages - 2 // the lone probe writes its first page alone
 		}
-		if got := rec.Get(obs.FlushHelper); got != uint64(tc.helpers) {
-			t.Errorf("%d pages: pool.flush.helper = %d, want %d", tc.pages, got, tc.helpers)
+		if got := rec.Get(obs.FlushHelper) - h0; got != want {
+			t.Fatalf("flush %d started %d helpers, want %d (pace alone %d ns/page, helped %d)",
+				i, got, want, p.pace[0], p.pace[1])
 		}
+	}
+	if got := rec.Get(obs.FlushPage); got != pages*flushes {
+		t.Errorf("pool.flush.page = %d, want %d", got, pages*flushes)
 	}
 }
 

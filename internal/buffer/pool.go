@@ -183,20 +183,30 @@ type Pool struct {
 	recorder atomic.Pointer[obs.Recorder]
 
 	// dirtyList holds every frame that went clean->dirty since the last
-	// flush took the list (Frame.listed marks membership, so a frame is
-	// listed at most once). Entries whose frame was since cleaned, dropped,
-	// evicted or invalidated stay until a flush takes them or
-	// pruneDirtyLocked drops them. dirtySpare is the emptied list of the last flush, reused so the
-	// steady state allocates nothing. dirtyMu is a leaf lock: nothing else
-	// is acquired under it.
+	// flush took the list (Frame.listed marks membership and
+	// Frame.listIdx the position, so a frame is listed at most once). A
+	// frame leaves the list when it leaves the pool (evicted, dropped,
+	// replaced by Remap, invalidated), so the list never holds more than
+	// the resident frames; a resident frame an evictor wrote back stays
+	// until the next flush, which skips it as clean. dirtySpare is the
+	// emptied list of the last flush, reused so the steady state allocates
+	// nothing. dirtyMu is a leaf lock: nothing else is acquired under it.
 	dirtyMu    sync.Mutex
 	dirtyList  []*Frame
 	dirtySpare []*Frame
 
 	// flushMu serializes flushes of this pool: a flush that found the list
 	// empty must not return (and let its caller sync) while another flush
-	// is still writing the frames it took.
+	// is still writing the frames it took. It also guards the pace.
 	flushMu sync.Mutex
+	// pace is what multi-page flushes have cost, in nanoseconds of the
+	// caller's wall time per page written: pace[0] for flushes the caller
+	// wrote alone (a probe of it times one page), pace[1] for flushes with
+	// helper goroutines (0 = not yet measured). probeCredit is the
+	// per-page time the faster mode has run since the slower one was last
+	// probed. See useHelpers.
+	pace        [2]int64
+	probeCredit int64
 }
 
 // Frame is a buffered page. The page contents must only be accessed while
@@ -219,9 +229,10 @@ type Frame struct {
 
 	// valid is protected by the owning partition's mutex.
 	valid bool
-	// listed records that the frame is on the pool's dirty list. Protected
-	// by the pool's dirtyMu.
-	listed bool
+	// listed records that the frame is on the pool's dirty list, at
+	// listIdx. Protected by the pool's dirtyMu.
+	listed  bool
+	listIdx int
 	// seen is the correlated-reference filter for the segmented sweep:
 	// set when the probationary hand finds the frame referenced, so that
 	// promotion to the protected segment requires the reference bit on two
@@ -771,6 +782,7 @@ func (pt *partition) evictFrameLocked(f *Frame, list *[]*Frame, idx int) (droppe
 	f.valid = false
 	delete(pt.frames, f.pageNo)
 	*list = append((*list)[:idx], (*list)[idx+1:]...)
+	pt.pool.unlistDirty(f)
 	pt.pool.rec().Count(obs.EvictClean)
 	return false, nil
 }
@@ -841,30 +853,26 @@ func (f *Frame) MarkDirty() {
 func (p *Pool) listDirty(f *Frame) {
 	p.dirtyMu.Lock()
 	if !f.listed {
-		if len(p.dirtyList) >= 2*p.capacity {
-			p.pruneDirtyLocked()
-		}
-		f.listed = true
+		f.listed, f.listIdx = true, len(p.dirtyList)
 		p.dirtyList = append(p.dirtyList, f)
 	}
 	p.dirtyMu.Unlock()
 }
 
-// pruneDirtyLocked drops the entries whose frame is clean again — written
-// by an evictor, dropped, invalidated — keeping the list within about twice
-// the pool's capacity when no flush takes it: what is left is at most the
-// resident dirty frames. With dirtyMu held.
-func (p *Pool) pruneDirtyLocked() {
-	kept := p.dirtyList[:0]
-	for _, f := range p.dirtyList {
-		if f.dirty.Load() {
-			kept = append(kept, f)
-		} else {
-			f.listed = false
-		}
+// unlistDirty takes f off the dirty list if it is there, moving the last
+// entry into its place. Called as f leaves the pool: no flush may write
+// it, and the list must not keep its image reachable.
+func (p *Pool) unlistDirty(f *Frame) {
+	p.dirtyMu.Lock()
+	if f.listed {
+		last := len(p.dirtyList) - 1
+		moved := p.dirtyList[last]
+		p.dirtyList[f.listIdx], moved.listIdx = moved, f.listIdx
+		p.dirtyList[last] = nil
+		p.dirtyList = p.dirtyList[:last]
+		f.listed = false
 	}
-	clear(p.dirtyList[len(kept):])
-	p.dirtyList = kept
+	p.dirtyMu.Unlock()
 }
 
 // RLatch acquires the frame's shared latch.
@@ -906,6 +914,7 @@ func (p *Pool) Remap(f *Frame, no storage.PageNo) {
 		old.valid = false
 		old.dirty.Store(false)
 		pt.unlistLocked(old)
+		p.unlistDirty(old)
 		delete(pt.frames, no)
 	}
 	f.pageNo = no
@@ -939,6 +948,7 @@ func (p *Pool) Drop(no storage.PageNo) {
 		f.valid = false
 		f.dirty.Store(false)
 		pt.unlistLocked(f)
+		p.unlistDirty(f)
 		delete(pt.frames, no)
 	}
 }
@@ -951,14 +961,14 @@ func (p *Pool) Drop(no storage.PageNo) {
 //     clean->dirty since the last flush and is still dirty. An entry is
 //     written only if, under its stripe mutex, the frame is still valid
 //     and still the one mapped at its page, and then only if it is still
-//     dirty when latched. A frame evicted since it was listed was written
-//     by the evictor; a dropped or invalidated one must not be written.
+//     dirty when latched.
 //   - Writes are issued in page order from the calling goroutine. The §2
-//     sync is unordered, so the writes may also overlap: a flush larger
-//     than one worker's share (flushShare pages) starts one helper
-//     goroutine per further share, up to flushWorkers in all. A commit
-//     force of a handful of pages never leaves the caller; a daemon,
-//     recovery or blocked-sync flush (§3.4) keeps its device overlap.
+//     sync is unordered, so the writes may also overlap: a flush of
+//     several pages starts helper goroutines, one per page up to
+//     flushWorkers in all, when flushes with helpers have been writing
+//     pages faster than flushes without (useHelpers). On a device that
+//     waits per write they are; on one whose writes are CPU work behind
+//     one lock they are not, and a commit force never leaves the caller.
 //   - Each frame is written under its shared latch, so a concurrent writer
 //     (which mutates only under the write latch) can never interleave with
 //     the image being copied out, and it is pinned only for its own write:
@@ -969,18 +979,30 @@ func (p *Pool) Drop(no storage.PageNo) {
 func (p *Pool) flushDirty() error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
-	r := p.rec()
-	var start time.Time
-	if r != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	frames := p.takeDirty()
 	// Deterministic issue order keeps tests reproducible; the storage
 	// layer still provides no durability ordering (and the crash layer
 	// reports pending pages sorted, not in write order).
 	slices.SortFunc(frames, func(a, b *Frame) int { return cmp.Compare(a.pageNo, b.pageNo) })
+	helped, probe := p.useHelpers(len(frames))
 	fl := &flushRun{pool: p, frames: frames}
-	workers := min(flushWorkers, (len(frames)+flushShare-1)/flushShare)
+	// A probe of the lone pace times the caller writing one page alone and
+	// then brings the helpers in for the rest: on a device that waits, a
+	// whole lone flush would cost several times a helped one.
+	loneProbe := probe && !helped
+	var lone int64
+	if loneProbe {
+		t0 := time.Now()
+		for fl.written.Load() == 0 && fl.step() {
+		}
+		lone = int64(time.Since(t0))
+		helped = true
+	}
+	workers := 1
+	if helped {
+		workers = max(1, min(flushWorkers, len(frames)-int(fl.next.Load())))
+	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
@@ -991,6 +1013,7 @@ func (p *Pool) flushDirty() error {
 	}
 	fl.work()
 	wg.Wait()
+	elapsed := time.Since(start)
 	var err error
 	if e := fl.err.Load(); e != nil {
 		err = *e
@@ -999,32 +1022,91 @@ func (p *Pool) flushDirty() error {
 				p.listDirty(f)
 			}
 		}
+	} else if written := fl.written.Load(); loneProbe && written > 0 {
+		p.notePace(false, true, lone)
+	} else if len(frames) > 1 && written > 0 {
+		p.notePace(helped, probe, int64(elapsed)/written)
 	}
 	p.dirtyMu.Lock()
 	clear(frames)
 	p.dirtySpare = frames[:0]
 	p.dirtyMu.Unlock()
-	if r != nil {
+	if r := p.rec(); r != nil {
 		r.CountN(obs.FlushPage, uint64(fl.written.Load()))
 		if workers > 1 {
 			r.CountN(obs.FlushHelper, uint64(workers-1))
 		}
-		r.Observe(obs.TFlushDirty, time.Since(start))
+		r.Observe(obs.TFlushDirty, elapsed)
 	}
 	return err
 }
 
+// useHelpers decides whether a flush of n pages starts helper goroutines,
+// from the pace the pool has measured rather than from a page count: a
+// helper pays only if the writes it takes over would have kept the caller
+// waiting longer than starting and joining it costs, and whether they do
+// depends on the device (a write that sleeps on a device overlaps; a copy
+// into memory behind the device's lock does not) and on how busy the
+// machine is. A single page is always written alone. The first multi-page
+// flush runs with helpers and the second probes the lone pace, so each
+// mode has one; after that a flush runs in the faster mode, which is
+// measured on every flush, so a mode that becomes slower loses without
+// further help. To notice the other mode becoming faster, a flush now and
+// then probes it: once the faster mode has run for probeShare times what
+// one probe costs over it (slow - fast per page), so probing costs at most
+// about 1/probeShare of the flush time whichever way the paces stand.
+// probe reports such a flush, whose pace replaces the stale one; a probe
+// of the lone pace writes one page alone and the rest with helpers
+// (flushDirty). With flushMu held.
+func (p *Pool) useHelpers(n int) (helped, probe bool) {
+	if n < 2 {
+		return false, false
+	}
+	alone, withHelpers := p.pace[0], p.pace[1]
+	if alone == 0 || withHelpers == 0 {
+		return withHelpers == 0, true
+	}
+	fast, slow := min(alone, withHelpers), max(alone, withHelpers)
+	p.probeCredit += fast
+	if p.probeCredit >= probeShare*(slow-fast) {
+		p.probeCredit = 0
+		return withHelpers >= alone, true
+	}
+	return withHelpers < alone, false
+}
+
+// notePace folds one multi-page flush's cost per page into the pace of its
+// mode. A probe's cost replaces the pace it measured, which is as old as
+// the last probe. Otherwise noise (a preemption, a collection) only ever
+// adds time, so the pace drops to a faster sample at once and rises toward
+// a slower one by an eighth per flush. With flushMu held.
+func (p *Pool) notePace(helped, probe bool, perPage int64) {
+	pace := &p.pace[0]
+	if helped {
+		pace = &p.pace[1]
+	}
+	perPage = max(perPage, 1)
+	if probe || perPage < *pace {
+		*pace = perPage
+		return
+	}
+	*pace += (perPage - *pace) / 8
+}
+
 // takeDirty empties the dirty list and returns the frames on it that are
-// still dirty. A frame cleaned since it was listed is left out: if it is
-// dirtied again it goes on the new list.
+// still dirty. A frame cleaned since it was listed (written back by an
+// evictor) is left out: if it is dirtied again it goes on the new list.
 func (p *Pool) takeDirty() []*Frame {
 	p.dirtyMu.Lock()
 	defer p.dirtyMu.Unlock()
-	p.pruneDirtyLocked()
-	frames := p.dirtyList
-	for _, f := range frames {
+	frames := p.dirtyList[:0]
+	for _, f := range p.dirtyList {
 		f.listed = false
+		if f.dirty.Load() {
+			frames = append(frames, f)
+		}
 	}
+	clear(p.dirtyList[len(frames):])
 	p.dirtyList, p.dirtySpare = p.dirtySpare, nil
 	return frames
 }
@@ -1038,48 +1120,54 @@ type flushRun struct {
 	err           atomic.Pointer[error]
 }
 
-// work claims frames in order and writes each one that is still live and
-// dirty, until the frames run out or a write fails.
+// work writes frames until they run out or a write fails.
 func (fl *flushRun) work() {
-	p := fl.pool
-	for fl.err.Load() == nil {
-		i := int(fl.next.Add(1)) - 1
-		if i >= len(fl.frames) {
-			return
-		}
-		f := fl.frames[i]
-		pt := p.part(f.pageNo)
-		pt.mu.Lock()
-		live := f.valid && pt.frames[f.pageNo] == f
-		if live {
-			f.pins.Add(1)
-		}
-		pt.mu.Unlock()
-		if !live {
-			continue
-		}
-		f.RLatch()
-		if f.dirty.Load() {
-			if err := p.writeFrame(f); err != nil {
-				fl.err.CompareAndSwap(nil, &err)
-			} else {
-				fl.written.Add(1)
-			}
-		}
-		f.RUnlatch()
-		f.Unpin()
+	for fl.step() {
 	}
 }
 
-// flushWorkers bounds the write concurrency of one flushDirty call, and
-// flushShare is one worker's share of its pages: a flush of n pages runs
-// ceil(n/flushShare) workers, at most flushWorkers. Eight keeps a
-// latency-bound flush short without swamping a pure in-memory disk; below
-// a share, starting and joining a goroutine costs more than the writes it
-// would overlap.
+// step claims the next frame in order and writes it if it is still live
+// and dirty. It reports false once the frames have run out or a write has
+// failed.
+func (fl *flushRun) step() bool {
+	if fl.err.Load() != nil {
+		return false
+	}
+	i := int(fl.next.Add(1)) - 1
+	if i >= len(fl.frames) {
+		return false
+	}
+	p, f := fl.pool, fl.frames[i]
+	pt := p.part(f.pageNo)
+	pt.mu.Lock()
+	live := f.valid && pt.frames[f.pageNo] == f
+	if live {
+		f.pins.Add(1)
+	}
+	pt.mu.Unlock()
+	if !live {
+		return true
+	}
+	f.RLatch()
+	if f.dirty.Load() {
+		if err := p.writeFrame(f); err != nil {
+			fl.err.CompareAndSwap(nil, &err)
+		} else {
+			fl.written.Add(1)
+		}
+	}
+	f.RUnlatch()
+	f.Unpin()
+	return true
+}
+
+// flushWorkers bounds the write concurrency of one flushDirty call: a
+// flush with helpers runs one goroutine per page, at most this many.
+// probeShare sets what probing the slower mode may cost: about one part
+// in probeShare of the flush time (see useHelpers).
 const (
 	flushWorkers = 8
-	flushShare   = 16
+	probeShare   = 100
 )
 
 // FlushDirty writes every dirty frame to the OS cache without syncing.
@@ -1116,6 +1204,13 @@ func (p *Pool) InvalidateAll() {
 		pt.protHand = 0
 		pt.mu.Unlock()
 	}
+	p.dirtyMu.Lock()
+	for _, f := range p.dirtyList {
+		f.listed = false
+	}
+	clear(p.dirtyList)
+	p.dirtyList = p.dirtyList[:0]
+	p.dirtyMu.Unlock()
 }
 
 // Stats returns hit/miss counters aggregated across all stripes.

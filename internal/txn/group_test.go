@@ -765,8 +765,9 @@ var errDeviceGone = errors.New("txn_test: device gone")
 // entries into kept page images, so after every successful commit the
 // table on disk must decode to exactly the commit order — across the
 // page-0 spill boundary, after failed status writes whose entries linger
-// in the images past the count, and after reopens that load the images
-// back from disk.
+// in the images past the count (among them the appends that open a new
+// continuation page), and after reopens that load the images back from
+// disk.
 func TestStatusAppendMatchesOrder(t *testing.T) {
 	d := &syncFailDisk{Disk: storage.NewMemDisk()}
 	m, err := OpenManager(d)
@@ -776,7 +777,7 @@ func TestStatusAppendMatchesOrder(t *testing.T) {
 	want := []heap.XID{1}
 	devErr := errors.New("status device unavailable")
 	for i := 0; i < xidsPerFirstPage+xidsPerPage+50; i++ {
-		if i%97 == 13 {
+		if no, off := xidPos(len(want)); i%97 == 13 || (no != 0 && off == statusBase) {
 			d.arm(devErr)
 			if err := m.Begin().Commit(); !errors.Is(err, devErr) {
 				t.Fatalf("commit %d over a failing device: %v", i, err)

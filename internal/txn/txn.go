@@ -90,11 +90,17 @@ type Manager struct {
 
 	gc groupCommitter
 
-	// images are the status table's page images, kept in step with order
-	// so an append encodes only its new entries. They belong to the commit
-	// leader (one at a time, handed over under gc.mu) and to
-	// single-threaded bootstrap.
-	images []page.Page
+	// head is the image of status page 0 and tail that of continuation
+	// page tailNo, the last one holding entries (nil before the table
+	// spills), kept in step with order so an append encodes only its new
+	// entries. An append writes only into these two and into pages past
+	// tailNo, which start from fresh images; earlier pages hold immutable
+	// entries and are never rewritten, so their images are not kept. They
+	// belong to the commit leader (one at a time, handed over under gc.mu)
+	// and to single-threaded bootstrap.
+	head   page.Page
+	tail   page.Page
+	tailNo storage.PageNo
 
 	// Test hooks, fired by the commit leader. Set before concurrent use.
 	hookAfterForce    func(batch []heap.XID) // between batched force and status write
@@ -132,6 +138,7 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 		committed: map[heap.XID]uint64{1: 0},
 		order:     []heap.XID{1},
 		active:    make(map[heap.XID]*Txn),
+		head:      newStatusImage(),
 	}
 	m.gc.cond = sync.NewCond(&m.gc.mu)
 	m.gc.batching = true
@@ -145,7 +152,7 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 	if img.IsZeroed() {
 		return m, m.persistAll()
 	}
-	m.images = append(m.images, img)
+	m.head = img
 	next := getU64(img[statusBase:])
 	count := getU64(img[statusBase+8:])
 	if next > uint64(m.nextXID) {
@@ -163,11 +170,14 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 			if pageNo >= disk.NumPages() {
 				return nil, fmt.Errorf("txn: status table truncated at %d/%d xids", read, count)
 			}
-			img = page.New()
+			if m.tail == nil {
+				m.tail = page.New()
+			}
+			img = m.tail
 			if err := disk.ReadPage(pageNo, img); err != nil {
 				return nil, err
 			}
-			m.images = append(m.images, img)
+			m.tailNo = pageNo
 			off = statusBase
 		}
 		x := heap.XID(getU64(img[off:]))
@@ -427,6 +437,13 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	m.mu.Unlock()
 }
 
+// statusPage is a continuation page of the status table and the image an
+// append wrote into it.
+type statusPage struct {
+	no  storage.PageNo
+	img page.Page
+}
+
 // encodeLocked stages an append of the last nNew entries of m.order in the
 // status images: it writes only the new XIDs at their fixed positions and
 // page 0's header (XID high-water mark and count), and returns the
@@ -435,31 +452,40 @@ func (m *Manager) runBatch(batch []*commitReq) {
 // may hold entries past the count after a failed status write rolled the
 // order back; the count decides what is read, and the next append
 // overwrites them.
-func (m *Manager) encodeLocked(nNew int) []storage.PageNo {
+func (m *Manager) encodeLocked(nNew int) []statusPage {
 	total := len(m.order)
-	var tail []storage.PageNo
+	var tail []statusPage
 	for i := total - nNew; i < total; i++ {
 		no, off := xidPos(i)
-		putU64(m.statusImage(no)[off:], uint64(m.order[i]))
-		if no != 0 && (len(tail) == 0 || tail[len(tail)-1] != no) {
-			tail = append(tail, no)
+		img := m.head
+		if no != 0 {
+			if len(tail) == 0 || tail[len(tail)-1].no != no {
+				tail = append(tail, statusPage{no, m.tailImage(no)})
+			}
+			img = tail[len(tail)-1].img
 		}
+		putU64(img[off:], uint64(m.order[i]))
 	}
-	hdr := m.statusImage(0)
-	putU64(hdr[statusBase:], uint64(m.nextXID))
-	putU64(hdr[statusBase+8:], uint64(total))
+	putU64(m.head[statusBase:], uint64(m.nextXID))
+	putU64(m.head[statusBase+8:], uint64(total))
 	return tail
 }
 
-// statusImage returns the image of status page no, formatting any missing
-// pages up to it.
-func (m *Manager) statusImage(no storage.PageNo) page.Page {
-	for int(no) >= len(m.images) {
-		img := page.New()
-		img.Init(page.TypeMeta, 0)
-		m.images = append(m.images, img)
+// tailImage returns the image to append into on continuation page no: the
+// kept tail image if no is the tail page, else a fresh one (no is past
+// the tail: its entries are all new).
+func (m *Manager) tailImage(no storage.PageNo) page.Page {
+	if no == m.tailNo && m.tail != nil {
+		return m.tail
 	}
-	return m.images[no]
+	return newStatusImage()
+}
+
+// newStatusImage formats an empty status page.
+func newStatusImage() page.Page {
+	img := page.New()
+	img.Init(page.TypeMeta, 0)
+	return img
 }
 
 // writeStatus makes an encoded status append durable. The write is
@@ -477,10 +503,10 @@ func (m *Manager) statusImage(no storage.PageNo) page.Page {
 //
 // A batch that fits on page 0 (the common case early in a file's life)
 // costs one page write and one sync.
-func (m *Manager) writeStatus(tail []storage.PageNo) error {
+func (m *Manager) writeStatus(tail []statusPage) error {
 	start := time.Now()
-	for _, no := range tail {
-		if err := m.disk.WritePage(no, m.images[no]); err != nil {
+	for _, sp := range tail {
+		if err := m.disk.WritePage(sp.no, sp.img); err != nil {
 			return err
 		}
 	}
@@ -492,11 +518,14 @@ func (m *Manager) writeStatus(tail []storage.PageNo) error {
 	if m.hookAfterTailSync != nil {
 		m.hookAfterTailSync()
 	}
-	if err := m.disk.WritePage(0, m.images[0]); err != nil {
+	if err := m.disk.WritePage(0, m.head); err != nil {
 		return err
 	}
 	if err := m.disk.Sync(); err != nil {
 		return err
+	}
+	if n := len(tail); n > 0 {
+		m.tail, m.tailNo = tail[n-1].img, tail[n-1].no
 	}
 	m.obs.Observe(obs.TStatusWrite, time.Since(start))
 	return nil
