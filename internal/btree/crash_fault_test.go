@@ -172,7 +172,7 @@ func TestCrashFuzzFileDisk(t *testing.T) {
 	for _, v := range protectedVariants {
 		t.Run(v.String(), func(t *testing.T) {
 			for seed := int64(0); seed < 2; seed++ {
-				fuzzOnce(t, v, seed, newFaultFileDisk(t, storage.FaultConfig{Seed: seed}))
+				fuzzOnce(t, v, seed, newFaultFileDisk(t, storage.FaultConfig{Seed: seed}), false)
 			}
 		})
 	}

@@ -624,22 +624,34 @@ func TestCommittedDeletesStayDeleted(t *testing.T) {
 // a leaf's right peer skipping the page a lost split left behind) failed
 // while a FlagPeerVerified set in one crash epoch was trusted after the
 // next crash; they stay in the list.
+//
+// Each seed runs twice: crash-only, and with clean epochs mixed in, where
+// a crash open is sometimes followed at once by a clean Close and reopen
+// (the next fresh page then comes from the persisted mark, with the lost
+// children the crash left still unrepaired), and a round sometimes ends
+// with a clean Close instead of a crash.
 func TestCrashFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash fuzzing is slow")
 	}
 	for _, v := range protectedVariants {
 		t.Run(v.String(), func(t *testing.T) {
-			for _, seed := range []int64{0, 1, 2, 3, 4, 5, 24, 29} {
-				fuzzOnce(t, v, seed, storage.NewMemDisk())
+			for _, clean := range []bool{false, true} {
+				for _, seed := range []int64{0, 1, 2, 3, 4, 5, 24, 29} {
+					fuzzOnce(t, v, seed, storage.NewMemDisk(), clean)
+				}
 			}
 		})
 	}
 }
 
-func fuzzOnce(t *testing.T, v Variant, seed int64, d storage.Crasher) {
+// fuzzOnce runs one seed. With clean set, a second generator seeded from
+// the first picks the clean epochs, so the crash-only stream of a seed
+// replays unchanged.
+func fuzzOnce(t *testing.T, v Variant, seed int64, d storage.Crasher, clean bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	epochs := rand.New(rand.NewSource(^seed))
 	committed := make(map[int]bool)
 	tentative := make(map[int]bool)
 	next := 0
@@ -648,6 +660,14 @@ func fuzzOnce(t *testing.T, v Variant, seed int64, d storage.Crasher) {
 		tr, err := Open(d, v, Options{})
 		if err != nil {
 			t.Fatalf("seed %d round %d: open: %v", seed, round, err)
+		}
+		if clean && epochs.Intn(2) == 0 {
+			if err := tr.Close(); err != nil {
+				t.Fatalf("seed %d round %d: close: %v", seed, round, err)
+			}
+			if tr, err = Open(d, v, Options{}); err != nil {
+				t.Fatalf("seed %d round %d: clean reopen: %v", seed, round, err)
+			}
 		}
 		// Recovery check: every committed key must be present.
 		for k := range committed {
@@ -741,6 +761,13 @@ func fuzzOnce(t *testing.T, v Variant, seed int64, d storage.Crasher) {
 			for k := range tentative {
 				committed[k] = true
 			}
+		}
+		if clean && epochs.Intn(3) == 0 {
+			if err := tr.Close(); err != nil {
+				t.Fatalf("seed %d round %d: close: %v", seed, round, err)
+			}
+			committed = tentative
+			continue
 		}
 		// Crash mid-sync: random subset of pending pages survives.
 		if err := tr.Pool().FlushDirty(); err != nil {

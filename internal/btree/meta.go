@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/freelist"
 	"repro/internal/page"
-	"repro/internal/synctoken"
 )
 
 // Page 0 of every index file is the meta page. Besides identifying the
@@ -15,9 +14,10 @@ import (
 // pairs play for internal keys (§3.3: "Like internal page keys, the root
 // pointer must contain a previous and current page pointer").
 //
-// The meta page also persists the sync-counter state (implementing
-// synctoken.Store) and, on clean shutdown, the freelist with its key
-// ranges (§3.3.3).
+// The meta page also persists the sync-counter state and, on clean
+// shutdown, the next-page mark (both through synctoken.PageStore, which
+// owns body bytes 20–44 and the header's special word) and the freelist
+// with its key ranges (§3.3.3).
 
 // Variant selects the index algorithm.
 type Variant uint8
@@ -57,10 +57,7 @@ const (
 	mOffRoot      = 4  // uint32
 	mOffPrevRoot  = 8  // uint32
 	mOffRootToken = 12 // uint64
-	mOffCtrMax    = 20 // uint64 sync-counter stable maximum
-	mOffCtrGlobal = 28 // uint64 (valid when clean)
-	mOffCtrCrash  = 36 // uint64 (valid when clean)
-	mOffCtrFlags  = 44 // uint8: bit0 = saved, bit1 = clean
+	// 20–44: sync-counter state (synctoken.PageStore)
 	mOffFreeCount = 46 // uint16 persisted freelist entries
 	mOffFreeData  = 48 // entries: [pageNo u32][loLen u16][lo][hiLen u16][hi]... hiLen 0xFFFF = nil
 )
@@ -95,66 +92,6 @@ func putU64(b []byte, v uint64) {
 	for k := 0; k < 8; k++ {
 		b[k] = byte(v >> (8 * k))
 	}
-}
-
-// metaStore adapts the meta page to synctoken.Store. Saves write the meta
-// frame and force an immediate disk write and sync of just that page, so
-// the stable maximum is durable before tokens from its range are used.
-type metaStore struct {
-	t *Tree
-}
-
-// Load implements synctoken.Store.
-func (s metaStore) Load() (synctoken.State, bool, error) {
-	f, err := s.t.pool.Get(0)
-	if err != nil {
-		return synctoken.State{}, false, err
-	}
-	defer f.Unpin()
-	m := metaPage{f.Data}
-	if f.Data.IsZeroed() {
-		return synctoken.State{}, false, nil
-	}
-	flags := f.Data[metaBase+mOffCtrFlags]
-	st := synctoken.State{
-		Max:       u64At(f.Data, metaBase+mOffCtrMax),
-		Global:    u64At(f.Data, metaBase+mOffCtrGlobal),
-		LastCrash: u64At(f.Data, metaBase+mOffCtrCrash),
-		Clean:     flags&2 != 0,
-	}
-	_ = m
-	return st, flags&1 != 0, nil
-}
-
-// Save implements synctoken.Store. The meta page is written through to the
-// disk and synced immediately: the maximum sync counter must be durable
-// before any token below it is stamped into a page (§3.2).
-func (s metaStore) Save(st synctoken.State) error {
-	f, err := s.t.pool.Get(0)
-	if err != nil {
-		return err
-	}
-	defer f.Unpin()
-	// Shared-mode descents read the meta page under its read latch.
-	f.WLatch()
-	if f.Data.IsZeroed() {
-		f.Data.Init(page.TypeMeta, 0)
-		metaPage{f.Data}.setVariant(s.t.variant)
-	}
-	putU64(f.Data[metaBase+mOffCtrMax:], st.Max)
-	putU64(f.Data[metaBase+mOffCtrGlobal:], st.Global)
-	putU64(f.Data[metaBase+mOffCtrCrash:], st.LastCrash)
-	flags := byte(1)
-	if st.Clean {
-		flags |= 2
-	}
-	f.Data[metaBase+mOffCtrFlags] = flags
-	f.MarkDirty()
-	f.WUnlatch()
-	// Write-through: everything currently dirty becomes durable, which
-	// is always safe under the paper's model (a sync can happen at any
-	// time) and keeps the counter invariant.
-	return s.t.pool.SyncAll()
 }
 
 // saveFreelist serializes the freelist (with key ranges, §3.3.3) into the

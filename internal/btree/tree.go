@@ -160,26 +160,20 @@ func Open(disk storage.Disk, variant Variant, opts Options) (*Tree, error) {
 	f.Unpin()
 	// Opening the counter persists the new stable maximum (and with it
 	// the cleared freelist and fresh meta page) via a write-through sync.
-	ctr, err := synctoken.Open(metaStore{t})
+	ctr, err := synctoken.Open(synctoken.PageStore{
+		Pool:   t.pool,
+		Format: func(p page.Page) { metaPage{p}.setVariant(variant) },
+	})
 	if err != nil {
 		return nil, err
 	}
 	t.counter = ctr
-	// The next fresh page number must exceed not only the file size but
-	// every page number referenced anywhere in the durable tree: a crash
-	// can lose a file extension while keeping a parent that points into
-	// it, and handing such a page number out again would collide with
-	// the lazy repair that later rebuilds the lost child there.
-	maxRef, err := t.maxReferencedPage()
-	if err != nil {
+	// Handing out a page number the durable tree already references
+	// would collide with the lazy repair that later rebuilds a lost
+	// child there. After a clean Close the persisted mark bounds them;
+	// otherwise the walk finds the bound.
+	if t.nextNew, err = ctr.NextFreshPage(disk.NumPages(), t.maxReferencedPage); err != nil {
 		return nil, err
-	}
-	t.nextNew = disk.NumPages()
-	if maxRef+1 > t.nextNew {
-		t.nextNew = maxRef + 1
-	}
-	if t.nextNew < 1 {
-		t.nextNew = 1
 	}
 	return t, nil
 }
@@ -187,9 +181,12 @@ func Open(disk storage.Disk, variant Variant, opts Options) (*Tree, error) {
 // maxReferencedPage walks the durable structure from the meta page and
 // returns the largest page number mentioned by any pointer field: root and
 // previous-root pointers, child and prevPtr entries, peer pointers, newPage
-// pointers, and persisted freelist entries.
+// pointers, and persisted freelist entries. Every page it reads counts
+// under obs.OpenWalkPage.
 func (t *Tree) maxReferencedPage() (uint32, error) {
 	var maxRef uint32
+	var walked uint64
+	defer func() { t.obs.CountN(obs.OpenWalkPage, walked) }()
 	note := func(no uint32) {
 		if no != ^uint32(0) && no > maxRef {
 			maxRef = no
@@ -213,6 +210,7 @@ func (t *Tree) maxReferencedPage() (uint32, error) {
 			return nil
 		}
 		seen[no] = true
+		walked++
 		f, err := t.pool.Get(no)
 		if err != nil {
 			return nil // unreadable: nothing referenced from it
@@ -305,9 +303,10 @@ func (t *Tree) syncLocked() error {
 	return nil
 }
 
-// Close persists the freelist and counter state for a clean shutdown. The
+// Close persists the freelist, the next-page mark and the counter state
+// for a clean shutdown, so the next Open reads only the meta page. The
 // tree must not be used afterwards. Skipping Close models a crash: the
-// next Open recovers via the sync-token protocol.
+// next Open walks the tree and recovers via the sync-token protocol.
 func (t *Tree) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -318,12 +317,14 @@ func (t *Tree) Close() error {
 	if err != nil {
 		return err
 	}
-	metaPage{f.Data}.saveFreelist(t.free.Entries())
+	entries := t.free.Entries()
+	saved := metaPage{f.Data}.saveFreelist(entries)
+	t.obs.CountN(obs.FreelistDrop, uint64(len(entries)-saved))
 	f.MarkDirty()
 	f.Unpin()
-	// CloseClean persists the counter state; its write-through sync also
-	// carries the freelist.
-	return t.counter.CloseClean()
+	// CloseClean persists the counter state and the next-page mark; its
+	// write-through sync also carries the freelist.
+	return t.counter.CloseClean(t.nextNew)
 }
 
 // allocPage takes a page from the freelist — refusing pages whose old key

@@ -47,6 +47,15 @@ const (
 	framesPerPartition = 16
 )
 
+// pinWaitBound caps how long a miss waits for an unpin when every frame of
+// its stripe is pinned. Pins last one page access or one split, so a wait
+// this long means the frames are held by the waiter itself or by more
+// holders than the stripe can serve, and the miss fails instead.
+const pinWaitBound = 500 * time.Millisecond
+
+// errAllPinned reports an eviction sweep that found every frame pinned.
+var errAllPinned = errors.New("buffer: all frames pinned")
+
 // RetryPolicy bounds the pool's handling of storage.ErrTransient: each
 // page I/O is attempted up to MaxAttempts times, sleeping BaseDelay before
 // the first retry and doubling before each subsequent one, capped at
@@ -207,6 +216,13 @@ type Pool struct {
 	// probed. See useHelpers.
 	pace        [2]int64
 	probeCredit int64
+
+	// pinWaiters counts misses waiting for an unpin in a stripe whose
+	// frames were all pinned. While it is nonzero, an Unpin that frees a
+	// frame closes unpinCh (under unpinMu) to wake them all.
+	pinWaiters atomic.Int32
+	unpinMu    sync.Mutex
+	unpinCh    chan struct{}
 }
 
 // Frame is a buffered page. The page contents must only be accessed while
@@ -396,6 +412,7 @@ func (p *Pool) Get(no storage.PageNo) (*Frame, error) {
 	pt.mu.RUnlock()
 
 	pt.mu.Lock()
+	var deadline time.Time
 	for {
 		// Re-check: another goroutine may have loaded the page while we
 		// upgraded (or while an eviction write released the lock).
@@ -406,7 +423,7 @@ func (p *Pool) Get(no storage.PageNo) (*Frame, error) {
 			pt.mu.Unlock()
 			return f, nil
 		}
-		dropped, err := pt.ensureRoomLocked()
+		dropped, err := pt.ensureRoomLocked(&deadline)
 		if err != nil {
 			pt.mu.Unlock()
 			return nil, err
@@ -583,6 +600,7 @@ func (p *Pool) NewPage(no storage.PageNo) (*Frame, error) {
 	}
 	pt := p.part(no)
 	pt.mu.Lock()
+	var deadline time.Time
 	for {
 		if f, ok := pt.frames[no]; ok {
 			f.pins.Add(1)
@@ -594,7 +612,7 @@ func (p *Pool) NewPage(no storage.PageNo) (*Frame, error) {
 			f.WUnlatch()
 			return f, nil
 		}
-		dropped, err := pt.ensureRoomLocked()
+		dropped, err := pt.ensureRoomLocked(&deadline)
 		if err != nil {
 			pt.mu.Unlock()
 			return nil, err
@@ -647,10 +665,60 @@ func (pt *partition) installFrameLocked(no storage.PageNo) *Frame {
 // never latched by tree code. dropped reports that the lock was released;
 // the caller must restart, because the stripe (including its own target
 // page) may have changed arbitrarily in the window.
-func (pt *partition) ensureRoomLocked() (dropped bool, err error) {
+//
+// A stripe whose frames are all pinned waits for an unpin (see
+// waitUnpinLocked); deadline, zero on a miss's first call, bounds the
+// waits of one miss.
+func (pt *partition) ensureRoomLocked(deadline *time.Time) (dropped bool, err error) {
 	if len(pt.frames) < pt.quota {
 		return false, nil
 	}
+	dropped, err = pt.evictLocked()
+	if err != errAllPinned {
+		return dropped, err
+	}
+	return pt.waitUnpinLocked(deadline)
+}
+
+// waitUnpinLocked waits, with pt.mu released, until an Unpin anywhere in
+// the pool frees a frame, then reports dropped so the caller sweeps again.
+// The first wait of a miss sets its deadline; a miss that still finds
+// every frame pinned past the deadline fails.
+func (pt *partition) waitUnpinLocked(deadline *time.Time) (dropped bool, err error) {
+	now := time.Now()
+	if deadline.IsZero() {
+		*deadline = now.Add(pinWaitBound)
+	} else if !now.Before(*deadline) {
+		return false, fmt.Errorf("buffer: all %d frames pinned for %v", len(pt.frames), pinWaitBound)
+	}
+	// Register, then sweep once more: an Unpin before the registration
+	// freed a frame this sweep finds, and one after it sees the waiter
+	// and closes ch.
+	p := pt.pool
+	p.pinWaiters.Add(1)
+	defer p.pinWaiters.Add(-1)
+	p.unpinMu.Lock()
+	if p.unpinCh == nil {
+		p.unpinCh = make(chan struct{})
+	}
+	ch := p.unpinCh
+	p.unpinMu.Unlock()
+	if dropped, err := pt.evictLocked(); err != errAllPinned {
+		return dropped, err
+	}
+	pt.mu.Unlock()
+	timer := time.NewTimer(time.Until(*deadline))
+	select {
+	case <-ch:
+	case <-timer.C:
+	}
+	timer.Stop()
+	pt.mu.Lock()
+	return true, nil
+}
+
+// evictLocked evicts one unpinned frame, or returns errAllPinned.
+func (pt *partition) evictLocked() (dropped bool, err error) {
 	if pt.twoQ {
 		return pt.evict2QLocked()
 	}
@@ -675,7 +743,7 @@ func (pt *partition) ensureRoomLocked() (dropped bool, err error) {
 		}
 		return pt.evictFrameLocked(f, &pt.clock, pt.hand)
 	}
-	return false, fmt.Errorf("buffer: all %d frames pinned", len(pt.frames))
+	return false, errAllPinned
 }
 
 // evict2QLocked is the segmented sweep. Probationary frames are evicted on
@@ -732,7 +800,7 @@ func (pt *partition) evict2QLocked() (dropped bool, err error) {
 		}
 		return pt.evictFrameLocked(f, &pt.prot, pt.protHand)
 	}
-	return false, fmt.Errorf("buffer: all %d frames pinned", len(pt.frames))
+	return false, errAllPinned
 }
 
 // rebalanceProtLocked demotes least-recently-used protected frames back to
@@ -824,10 +892,22 @@ func (p *Pool) SetLegacyEviction(legacy bool) {
 	}
 }
 
-// Unpin releases one pin on f.
+// Unpin releases one pin on f, waking misses that wait for a frame.
 func (f *Frame) Unpin() {
-	if f.pins.Add(-1) < 0 {
+	n := f.pins.Add(-1)
+	if n > 0 {
+		return
+	}
+	if n < 0 {
 		panic("buffer: unpin of unpinned frame")
+	}
+	if p := f.pool; p.pinWaiters.Load() != 0 {
+		p.unpinMu.Lock()
+		if p.unpinCh != nil {
+			close(p.unpinCh)
+			p.unpinCh = nil
+		}
+		p.unpinMu.Unlock()
 	}
 }
 

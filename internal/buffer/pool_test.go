@@ -1,8 +1,10 @@
 package buffer
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/page"
 	"repro/internal/storage"
@@ -82,6 +84,54 @@ func TestPinPreventsEviction(t *testing.T) {
 	}
 	f2.Unpin()
 	f1.Unpin()
+}
+
+// TestPinWaitsForUnpin: with more goroutines each holding a pin than the
+// stripe has frames, a miss that finds every frame pinned waits for an
+// unpin instead of failing.
+func TestPinWaitsForUnpin(t *testing.T) {
+	p, _ := newPoolDisk(framesPerPartition)
+	if p.Partitions() != 1 {
+		t.Fatalf("%d stripes, want 1", p.Partitions())
+	}
+	const workers, rounds = 3 * framesPerPartition, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				f, err := p.Get(storage.PageNo(w*rounds + r))
+				if err != nil {
+					errs <- err
+					return
+				}
+				runtime.Gosched()
+				f.Unpin()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestPinWaitIsBounded: a miss whose stripe stays fully pinned fails
+// after the wait bound rather than hanging.
+func TestPinWaitIsBounded(t *testing.T) {
+	p, _ := newPoolDisk(1)
+	f, _ := p.NewPage(0)
+	defer f.Unpin()
+	start := time.Now()
+	if _, err := p.Get(1); err == nil {
+		t.Fatal("get must fail while the only frame stays pinned")
+	}
+	if waited := time.Since(start); waited < pinWaitBound {
+		t.Fatalf("failed after %v, before the %v bound", waited, pinWaitBound)
+	}
 }
 
 func TestEvictionWritesDirtyPage(t *testing.T) {

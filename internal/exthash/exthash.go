@@ -70,11 +70,8 @@ const (
 	mOffDirStart    = 4  // uint32 first page of the current directory
 	mOffPrevDir     = 8  // uint32 first page of the previous directory
 	mOffDirToken    = 12 // uint64 expected token of current directory chunks
-	mOffCtrMax      = 20 // synctoken state, as in the btree meta page
-	mOffCtrGlobal   = 28
-	mOffCtrCrash    = 36
-	mOffCtrFlags    = 44
-	metaBase        = page.HeaderSize
+	// 20–44: sync-counter state (synctoken.PageStore)
+	metaBase = page.HeaderSize
 )
 
 // Directory entries are 8 bytes: current bucket page and previous-version
@@ -119,19 +116,15 @@ func Open(disk storage.Disk, poolSize int) (*Index, error) {
 		f.MarkDirty()
 	}
 	f.Unpin()
-	ctr, err := synctoken.Open(metaStore{ix})
+	ctr, err := synctoken.Open(synctoken.PageStore{Pool: ix.pool})
 	if err != nil {
 		return nil, err
 	}
 	ix.counter = ctr
-	ix.nextNew = disk.NumPages()
-	if ix.nextNew < 1 {
-		ix.nextNew = 1
-	}
-	if maxRef, err := ix.maxReferencedPage(); err != nil {
+	// As in the B-tree: after a clean Close the persisted next-page mark
+	// bounds every referenced page; any other open walks for the bound.
+	if ix.nextNew, err = ctr.NextFreshPage(disk.NumPages(), ix.maxReferencedPage); err != nil {
 		return nil, err
-	} else if maxRef+1 > ix.nextNew {
-		ix.nextNew = maxRef + 1
 	}
 	if fresh || ix.dirStartLocked() == 0 {
 		if err := ix.bootstrapLocked(); err != nil {
@@ -139,49 +132,6 @@ func Open(disk storage.Disk, poolSize int) (*Index, error) {
 		}
 	}
 	return ix, nil
-}
-
-// metaStore persists the sync-counter state in the meta page, write-through
-// (see the btree's metaStore for the rationale).
-type metaStore struct{ ix *Index }
-
-func (s metaStore) Load() (synctoken.State, bool, error) {
-	f, err := s.ix.pool.Get(0)
-	if err != nil {
-		return synctoken.State{}, false, err
-	}
-	defer f.Unpin()
-	if f.Data.IsZeroed() {
-		return synctoken.State{}, false, nil
-	}
-	flags := f.Data[metaBase+mOffCtrFlags]
-	return synctoken.State{
-		Max:       getU64(f.Data[metaBase+mOffCtrMax:]),
-		Global:    getU64(f.Data[metaBase+mOffCtrGlobal:]),
-		LastCrash: getU64(f.Data[metaBase+mOffCtrCrash:]),
-		Clean:     flags&2 != 0,
-	}, flags&1 != 0, nil
-}
-
-func (s metaStore) Save(st synctoken.State) error {
-	f, err := s.ix.pool.Get(0)
-	if err != nil {
-		return err
-	}
-	defer f.Unpin()
-	if f.Data.IsZeroed() {
-		f.Data.Init(page.TypeMeta, 0)
-	}
-	putU64(f.Data[metaBase+mOffCtrMax:], st.Max)
-	putU64(f.Data[metaBase+mOffCtrGlobal:], st.Global)
-	putU64(f.Data[metaBase+mOffCtrCrash:], st.LastCrash)
-	flags := byte(1)
-	if st.Clean {
-		flags |= 2
-	}
-	f.Data[metaBase+mOffCtrFlags] = flags
-	f.MarkDirty()
-	return s.ix.pool.SyncAll()
 }
 
 // bootstrapLocked creates the depth-0 directory (one entry) and one empty
@@ -248,6 +198,18 @@ func (ix *Index) syncLocked() error {
 		return err
 	}
 	return ix.counter.Advance()
+}
+
+// Close syncs, then persists the next-page mark and the counter state for
+// a clean shutdown, so the next Open reads only the meta page. The index
+// must not be used afterwards; skipping Close models a crash.
+func (ix *Index) Close() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if err := ix.syncLocked(); err != nil {
+		return err
+	}
+	return ix.counter.CloseClean(ix.nextNew)
 }
 
 // Pool exposes the buffer pool for crash-injection tests.

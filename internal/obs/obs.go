@@ -111,6 +111,10 @@ const (
 	RebuildKeys // keys fed into a wholesale rebuild
 	RebuildSwap // rebuilt root published over the old structure
 
+	// Open and clean shutdown.
+	OpenWalkPage // page read by an open's walk for the highest referenced page
+	FreelistDrop // freelist entry a clean shutdown could not fit in the meta page
+
 	numMetrics
 )
 
@@ -174,6 +178,8 @@ var metricNames = [numMetrics]string{
 	RebuildRun:        "rebuild.run",
 	RebuildKeys:       "rebuild.keys",
 	RebuildSwap:       "rebuild.swap",
+	OpenWalkPage:      "open.walk.page",
+	FreelistDrop:      "freelist.drop",
 }
 
 func (m Metric) String() string {

@@ -146,11 +146,8 @@ const (
 	mOffPrevRoot  = 4
 	mOffRootToken = 8
 	mOffHeight    = 16 // uint8
-	mOffCtrMax    = 20
-	mOffCtrGlobal = 28
-	mOffCtrCrash  = 36
-	mOffCtrFlags  = 44
-	metaBase      = page.HeaderSize
+	// 20–44: sync-counter state (synctoken.PageStore)
+	metaBase = page.HeaderSize
 )
 
 // maxEntries caps node fanout; minFill is Guttman's m parameter.
@@ -193,62 +190,17 @@ func Open(disk storage.Disk, poolSize int) (*Tree, error) {
 		f.MarkDirty()
 	}
 	f.Unpin()
-	ctr, err := synctoken.Open(metaStore{t})
+	ctr, err := synctoken.Open(synctoken.PageStore{Pool: t.pool})
 	if err != nil {
 		return nil, err
 	}
 	t.counter = ctr
-	t.nextNew = disk.NumPages()
-	if t.nextNew < 1 {
-		t.nextNew = 1
-	}
-	if maxRef, err := t.maxReferencedPage(); err != nil {
+	// As in the B-tree: after a clean Close the persisted next-page mark
+	// bounds every referenced page; any other open walks for the bound.
+	if t.nextNew, err = ctr.NextFreshPage(disk.NumPages(), t.maxReferencedPage); err != nil {
 		return nil, err
-	} else if maxRef+1 > t.nextNew {
-		t.nextNew = maxRef + 1
 	}
 	return t, nil
-}
-
-type metaStore struct{ t *Tree }
-
-func (s metaStore) Load() (synctoken.State, bool, error) {
-	f, err := s.t.pool.Get(0)
-	if err != nil {
-		return synctoken.State{}, false, err
-	}
-	defer f.Unpin()
-	if f.Data.IsZeroed() {
-		return synctoken.State{}, false, nil
-	}
-	flags := f.Data[metaBase+mOffCtrFlags]
-	return synctoken.State{
-		Max:       getU64(f.Data[metaBase+mOffCtrMax:]),
-		Global:    getU64(f.Data[metaBase+mOffCtrGlobal:]),
-		LastCrash: getU64(f.Data[metaBase+mOffCtrCrash:]),
-		Clean:     flags&2 != 0,
-	}, flags&1 != 0, nil
-}
-
-func (s metaStore) Save(st synctoken.State) error {
-	f, err := s.t.pool.Get(0)
-	if err != nil {
-		return err
-	}
-	defer f.Unpin()
-	if f.Data.IsZeroed() {
-		f.Data.Init(page.TypeMeta, 0)
-	}
-	putU64(f.Data[metaBase+mOffCtrMax:], st.Max)
-	putU64(f.Data[metaBase+mOffCtrGlobal:], st.Global)
-	putU64(f.Data[metaBase+mOffCtrCrash:], st.LastCrash)
-	flags := byte(1)
-	if st.Clean {
-		flags |= 2
-	}
-	f.Data[metaBase+mOffCtrFlags] = flags
-	f.MarkDirty()
-	return s.t.pool.SyncAll()
 }
 
 // Sync is the commit-time force.
@@ -263,6 +215,18 @@ func (t *Tree) syncLocked() error {
 		return err
 	}
 	return t.counter.Advance()
+}
+
+// Close syncs, then persists the next-page mark and the counter state for
+// a clean shutdown, so the next Open reads only the meta page. The tree
+// must not be used afterwards; skipping Close models a crash.
+func (t *Tree) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.syncLocked(); err != nil {
+		return err
+	}
+	return t.counter.CloseClean(t.nextNew)
 }
 
 // Pool exposes the buffer pool for crash injection.

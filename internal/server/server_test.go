@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -654,5 +655,55 @@ func TestServerShardedSmokeAndCrashRecover(t *testing.T) {
 	}
 	if err := srv.Close(); err == nil {
 		_ = err // first server died with the "machine"; Close best-effort
+	}
+}
+
+// TestServerStatsOpenWalk: STATS reports how many pages the index opens
+// walked. A restart after a clean shutdown reads only the meta pages and
+// reports 0; a restart after a crash walks the trees.
+func TestServerStatsOpenWalk(t *testing.T) {
+	store := core.Memory()
+	db, srv := newTestServer(t, store)
+	cl := dial(t, srv)
+	for i := 0; i < 200; i++ {
+		cl.expect(fmt.Sprintf("PUT key-%03d value-%d", i, i), "OK")
+	}
+	cl.expect("QUIT", "OK bye")
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	walked := func() float64 {
+		t.Helper()
+		db, srv := newTestServer(t, store)
+		defer srv.Close()
+		cl := dial(t, srv)
+		reply := cl.expectPrefix("STATS", "OK ")
+		var stats map[string]any
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(reply, "OK ")), &stats); err != nil {
+			t.Fatalf("STATS JSON: %v", err)
+		}
+		cl.expect("GET key-007", "OK value-7")
+		cl.expect("QUIT", "OK bye")
+		_ = db // never closed: the next open is a crash open
+		n, ok := stats["open_walk_pages"].(float64)
+		if !ok {
+			t.Fatalf("STATS missing open_walk_pages: %v", stats)
+		}
+		return n
+	}
+	if n := walked(); n != 0 {
+		t.Fatalf("clean restart walked %v pages", n)
+	}
+	for _, d := range core.MemoryDisks(store) {
+		if err := d.CrashPartial(storage.CrashNone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := walked(); n == 0 {
+		t.Fatal("crash restart walked no pages")
 	}
 }

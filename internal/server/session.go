@@ -347,6 +347,8 @@ func (ss *session) cmdStats() {
 		"evict_promotions":    snap.Counters["pool.evict.promote"],
 		"batch_puts":          snap.Counters["batch.put"],
 		"batch_leaf_runs":     snap.Counters["batch.leafrun"],
+		"open_walk_pages":     snap.Counters["open.walk.page"],
+		"freelist_drops":      snap.Counters["freelist.drop"],
 	}
 	if n := ss.srv.idx.Shards(); n > 1 {
 		stats["shards"] = n

@@ -37,6 +37,9 @@ type State struct {
 	Global    uint64 // valid only when Clean
 	LastCrash uint64 // valid only when Clean
 	Clean     bool   // set by a clean shutdown, cleared on startup
+	// NextPage is the index's next fresh page number at the clean
+	// shutdown; valid only when Clean, 0 when none was recorded.
+	NextPage uint32
 }
 
 // MaxStep is the amount by which the stable maximum is advanced each time
@@ -52,6 +55,7 @@ type Counter struct {
 	global    atomic.Uint64
 	max       uint64 // guarded by mu
 	lastCrash atomic.Uint64
+	nextPage  uint32 // the clean shutdown's next-page mark; 0 after a crash
 	store     Store
 }
 
@@ -75,6 +79,7 @@ func Open(store Store) (*Counter, error) {
 		c.global.Store(st.Global)
 		c.lastCrash.Store(st.LastCrash)
 		c.max = st.Max
+		c.nextPage = st.NextPage
 	default:
 		// Crash recovery: the maximum is guaranteed to be larger than
 		// any token stamped before the failure.
@@ -84,7 +89,8 @@ func Open(store Store) (*Counter, error) {
 	}
 	// Persist the new maximum with the clean flag cleared, so that a
 	// crash from this point on reinitializes above every token we may
-	// hand out.
+	// hand out. The save drops the next-page mark with the flag: after a
+	// crash the index must find its bound by walking.
 	if err := store.Save(State{Max: c.max}); err != nil {
 		return nil, fmt.Errorf("synctoken: save max: %w", err)
 	}
@@ -116,9 +122,30 @@ func (c *Counter) Advance() error {
 	return nil
 }
 
+// NextFreshPage returns the first page number an index opened over a file
+// of numPages pages may hand out fresh. It must exceed every page number
+// the durable structure references, not just the file size: a crash can
+// lose a file extension while keeping a parent that points into it. After
+// a clean shutdown the mark the index recorded is that bound; any other
+// open (a crash, a fresh file, a file closed without a mark) calls
+// maxReferenced, which walks the structure for its largest page pointer.
+func (c *Counter) NextFreshPage(numPages uint32, maxReferenced func() (uint32, error)) (uint32, error) {
+	next := max(numPages, 1)
+	if c.nextPage != 0 {
+		return max(next, c.nextPage), nil
+	}
+	maxRef, err := maxReferenced()
+	if err != nil {
+		return 0, err
+	}
+	return max(next, maxRef+1), nil
+}
+
 // CloseClean persists the full state with the clean flag, so the next Open
-// resumes the counter without treating the restart as a crash.
-func (c *Counter) CloseClean() error {
+// resumes the counter without treating the restart as a crash. nextPage is
+// the index's next fresh page number, handed back by the next Open's
+// NextFreshPage.
+func (c *Counter) CloseClean(nextPage uint32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.store.Save(State{
@@ -126,6 +153,7 @@ func (c *Counter) CloseClean() error {
 		Global:    c.global.Load(),
 		LastCrash: c.lastCrash.Load(),
 		Clean:     true,
+		NextPage:  nextPage,
 	})
 }
 

@@ -92,7 +92,7 @@ func TestCleanShutdownResumesExactly(t *testing.T) {
 		}
 	}
 	wantGlobal, wantCrash := c.Current(), c.LastCrash()
-	if err := c.CloseClean(); err != nil {
+	if err := c.CloseClean(0); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := Open(st)
@@ -113,7 +113,7 @@ func TestOpenClearsCleanFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CloseClean(); err != nil {
+	if err := c.CloseClean(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(st); err != nil {
@@ -164,5 +164,49 @@ func TestTokenEpochOrdering(t *testing.T) {
 	}
 	if tok3 >= c2.LastCrash() {
 		t.Fatalf("pre-crash token %d must be below last crash token %d", tok3, c2.LastCrash())
+	}
+}
+
+// TestNextFreshPage: only an open after a clean shutdown that recorded a
+// mark skips the walk; the open's own save invalidates the mark, so a
+// crash after it walks again.
+func TestNextFreshPage(t *testing.T) {
+	st := &MemStore{}
+	walks := 0
+	walk := func() (uint32, error) { walks++; return 40, nil }
+	next := func(numPages uint32) uint32 {
+		t.Helper()
+		c, err := Open(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := c.NextFreshPage(numPages, walk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CloseClean(77); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := next(10); n != 41 || walks != 1 {
+		t.Fatalf("fresh open: next %d after %d walks, want 41 after 1", n, walks)
+	}
+	if n := next(10); n != 77 || walks != 1 {
+		t.Fatalf("clean open: next %d after %d walks, want 77 after 1", n, walks)
+	}
+	if n := next(90); n != 90 || walks != 1 {
+		t.Fatalf("clean open of a longer file: next %d, want 90", n)
+	}
+	if _, err := Open(st); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: the open above cleared the clean flag and the mark with it.
+	c, err := Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := c.NextFreshPage(10, walk); n != 41 || walks != 2 {
+		t.Fatalf("crash open: next %d after %d walks, want 41 after 2", n, walks)
 	}
 }
